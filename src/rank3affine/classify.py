@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import (CapExceeded, CharCondition, DegenerateModulus,
-                     DegreeCondition, NotPrime, OrderCondition)
+                     DegreeCondition, InvariantViolation, NotPrime,
+                     NotPrimePower, OrderCondition)
 from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
                        label_to_json, paley_index_set, peisert_connection_set,
                        vls_connection_set)
@@ -35,7 +36,9 @@ def gammal1_context(field: FiniteField) -> AffineActionContext:
             "q = 2: F_q^* is a single point, no two-orbit partitions exist")
     ctx = AffineActionContext(field.q - 1, field.p % (field.q - 1))
     # p^j = 1 mod (q-1) forces p^j - 1 >= q - 1, so the order is exactly r
-    assert ctx.m_ord == field.r
+    if ctx.m_ord != field.r:
+        raise InvariantViolation(
+            f"p = {field.p} has order {ctx.m_ord} mod {field.q - 1}, not r = {field.r}")
     return ctx
 
 
@@ -184,18 +187,20 @@ def verify_theorem(q_values, cap: int = DEFAULT_Q_CAP, sink=None) -> dict:
     When sink is given, the full per-field reports (with class arrays) are
     streamed to it as one JSON document.
     """
+    orders = []
+    for q in sorted(set(q_values)):
+        pr = as_prime_power(q)
+        if pr is None:
+            raise NotPrimePower(f"q = {q} is not a prime power")
+        if q > cap:
+            raise CapExceeded(f"q = {q} exceeds the classification cap {cap}")
+        orders.append((q, *pr))
     fields_summary = []
     unmatched_total = 0
     if sink:
         sink.write('{"fields": [\n')
     first = True
-    for q in sorted(set(q_values)):
-        pr = as_prime_power(q)
-        if pr is None:
-            raise ValueError(f"q = {q} is not a prime power")
-        p, r = pr
-        if q > cap:
-            raise CapExceeded(f"q = {q} exceeds the classification cap {cap}")
+    for q, p, r in orders:
         field = build_field(p, r)
         report = classify_field(field, cap=cap)
         unmatched_total += report.unmatched_count

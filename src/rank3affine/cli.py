@@ -9,11 +9,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
+import tempfile
 
 from .classify import (DEFAULT_Q_CAP, classify_field, prime_powers_up_to,
                        verify_theorem)
-from .errors import Rank3Error
+from .errors import CapExceeded, Rank3Error
 from .families import (label_to_json, paley_connection_set,
                        peisert_connection_set, vls_connection_set)
 from .fields import DEFAULT_FIELD_CAP, build_field
@@ -77,11 +79,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _out_stream(path: str | None):
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            yield fh
-    else:
+    """Stdout, or a temp file beside path that replaces path on a normal
+    return and is removed on an exception, so no partial report is left."""
+    if not path:
         yield sys.stdout
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".rank3affine-", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="ascii") as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _note(msg: str) -> None:
@@ -147,6 +161,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    # reject on the cap before building field tables; p^r >= 2^r bounds the
+    # exponent so a huge --r is not raised to a power
+    if args.p >= 2 and args.r >= 1 and (args.r >= args.cap.bit_length()
+                                        or args.p ** args.r > args.cap):
+        raise CapExceeded(
+            f"q = {args.p}^{args.r} exceeds the classification cap {args.cap}")
     field = build_field(args.p, args.r)
     report = classify_field(field, cap=args.cap)
     with _out_stream(args.output) as out:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every exception message names the concrete condition that was violated so
-that CLI error output is self-explanatory.
+that CLI error output is self-explanatory.  Errors for bad argument values
+also derive from ValueError.
 """
 
 
@@ -11,6 +12,26 @@ class Rank3Error(Exception):
 
 class NotPrime(Rank3Error):
     pass
+
+
+class NotPrimePower(Rank3Error, ValueError):
+    pass
+
+
+class ModulusOutOfRange(Rank3Error, ValueError):
+    pass
+
+
+class NotAUnit(Rank3Error, ValueError):
+    pass
+
+
+class IndexOutOfRange(Rank3Error, ValueError):
+    pass
+
+
+class BadVariant(Rank3Error, ValueError):
+    """Peisert variant other than 1 or 3."""
 
 
 class DegreeOutOfRange(Rank3Error):
@@ -75,3 +96,11 @@ class QuarticUnavailable(Rank3Error):
 
 class DegenerateModulus(Rank3Error):
     """q = 2 leaves nothing to act on: Z_1 has no two-orbit partitions."""
+
+
+class InfeasibleParameters(Rank3Error):
+    """(v, k, lambda, mu) fails k(k - lambda - 1) = (v - k - 1) mu."""
+
+
+class InvariantViolation(Rank3Error):
+    """An identity that the mathematics guarantees did not hold."""

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (CharCondition, ContainsZero, DegreeCondition, EmptySet,
-                     NotPrime, NotSymmetric, OrderCondition, QuarticUnavailable)
+from .errors import (BadVariant, CharCondition, ContainsZero, DegreeCondition,
+                     EmptySet, IndexOutOfRange, InvariantViolation, NotAUnit,
+                     NotPrime, NotSymmetric, OrderCondition,
+                     QuarticUnavailable)
 from .fields import FiniteField, is_prime
 
 
@@ -80,7 +82,7 @@ class ConnectionSet:
             raise EmptySet("connection set must be nonempty")
         n = field.q - 1
         if not all(0 <= i < n for i in indices):
-            raise ValueError(f"indices must lie in [0, {n})")
+            raise IndexOutOfRange(f"indices must lie in [0, {n})")
         self.field = field
         self.indices = indices
         self.label = label
@@ -139,7 +141,7 @@ def mult_order(x: int, modulus: int) -> int:
         cur = cur * x % modulus
         order += 1
         if order > modulus:
-            raise ValueError(f"{x} is not a unit mod {modulus}")
+            raise NotAUnit(f"{x} is not a unit mod {modulus}")
     return order
 
 
@@ -189,13 +191,15 @@ def peisert_index_set(q: int, variant: int) -> frozenset:
 def peisert_connection_set(field: FiniteField, variant: int = 1) -> ConnectionSet:
     """<omega^4> u <omega^4> omega^variant, variant in {1, 3}."""
     if variant not in (1, 3):
-        raise ValueError(f"variant must be 1 or 3, got {variant}")
+        raise BadVariant(f"variant must be 1 or 3, got {variant}")
     if field.p % 4 != 3:
         raise CharCondition(f"p = {field.p} = {field.p % 4} mod 4; need p = 3 mod 4")
     if field.r % 2 != 0:
         raise DegreeCondition(f"r = {field.r} must be even")
     conn = ConnectionSet(field, peisert_index_set(field.q, variant), Peisert(variant))
-    assert len(conn) * 2 == field.q - 1
+    if len(conn) * 2 != field.q - 1:
+        raise InvariantViolation(
+            f"Peisert set has {len(conn)} indices, not (q - 1)/2 for q = {field.q}")
     return conn
 
 
@@ -219,7 +223,9 @@ def coarsenings_of_quartic_partition(field: FiniteField) -> list[QuarticCoarseni
         raise QuarticUnavailable(f"q - 1 = {q - 1} is not divisible by 4")
     cls = [frozenset(i for i in range(q - 1) if i % 4 == j) for j in range(4)]
     paley = QuarticCoarsening(cls[0] | cls[2], cls[1] | cls[3], Paley())
-    assert paley.first == paley_index_set(q)
+    if paley.first != paley_index_set(q):
+        raise InvariantViolation(
+            f"classes 0 and 2 mod 4 are not the squares of GF({q})")
     v1 = QuarticCoarsening(cls[0] | cls[1], cls[2] | cls[3], Peisert(1))
     v3 = QuarticCoarsening(cls[0] | cls[3], cls[1] | cls[2], Peisert(3))
     return [paley, v1, v3]

@@ -20,7 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CapExceeded, DegreeOutOfRange, FieldMismatch, LogOfZero, NotPrime
+from .errors import (CapExceeded, DegreeOutOfRange, FieldMismatch, IndexOutOfRange,
+                     LogOfZero, NotPrime)
 
 DEFAULT_FIELD_CAP = 2 ** 20
 
@@ -257,7 +258,7 @@ class FiniteField:
 
     def element(self, code: int) -> "FieldElement":
         if not 0 <= code < self.q:
-            raise ValueError(f"element code {code} out of range [0, {self.q})")
+            raise IndexOutOfRange(f"element code {code} out of range [0, {self.q})")
         return FieldElement(self, code)
 
     def descriptor(self) -> dict:

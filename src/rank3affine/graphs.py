@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadResidue, CapExceeded, ContainsZero, Directed, NotSymmetric, TooLarge
+from .errors import (BadResidue, CapExceeded, ContainsZero, Directed,
+                     FieldMismatch, InfeasibleParameters, InvariantViolation,
+                     NotSymmetric, TooLarge)
 from .families import ConnectionSet
 from .fields import FiniteField
 
@@ -57,7 +59,7 @@ def build_cayley(field: FiniteField, connection: ConnectionSet,
                  allow_directed: bool = False) -> CayleyGraph:
     """Build the Cayley graph of F_q^+ with the given connection set."""
     if not field.same_field(connection.field):
-        raise ValueError("connection set belongs to a different field")
+        raise FieldMismatch("connection set belongs to a different field")
     codes = connection.element_codes()
     if 0 in codes:
         raise ContainsZero("connection set contains zero (would create loops)")
@@ -74,7 +76,9 @@ def build_cayley(field: FiniteField, connection: ConnectionSet,
     rows = [int.from_bytes(np.packbits(adj[x], bitorder="little").tobytes(),
                            "little") for x in range(q)]
     deg = len(codes)
-    assert all(r.bit_count() == deg for r in rows)
+    if any(r.bit_count() != deg for r in rows):
+        raise InvariantViolation(
+            f"a Cayley graph row has degree other than |S| = {deg}")
     return CayleyGraph(field, connection, rows, directed=not symmetric)
 
 
@@ -91,8 +95,9 @@ class SrgParams:
 
     def __post_init__(self):
         # standard feasibility identity for strongly regular graphs
-        assert self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu, \
-            f"infeasible parameter set {(self.v, self.k, self.lam, self.mu)}"
+        if self.k * (self.k - self.lam - 1) != (self.v - self.k - 1) * self.mu:
+            raise InfeasibleParameters(
+                f"infeasible parameter set {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.v, self.k, self.lam, self.mu)

@@ -25,6 +25,13 @@ Conversely every generated pair is a genuine subgroup, so candidate hits are
 never spurious.  Iterating k | n, s | ord(a), t in Z_k therefore covers every
 subgroup, and distinct candidates producing the same partition are merged.
 
+The candidates of one (k, s) depend on the context only through k and
+b = a^s mod k, so their partitions come from one table per (k, b), shared
+by every context.  Within it, u -> b*u + t and u -> b*u + t + c*(1-b) are
+conjugate under u -> u + c, so t only matters up to translation within its
+class mod gcd(b-1, k): one cycle scan per class gives the partition of
+every t in it, translated.  For b = 1 the table is closed form.
+
 Note the partition set of a context is closed under translation: conjugating
 Y by the translation u -> u + c (an element of X) translates both orbits by
 c.  Case 1 therefore carries the coset shift c explicitly.
@@ -37,7 +44,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import CapExceeded, EmptySet, MalformedPartition
+from .errors import (CapExceeded, EmptySet, MalformedPartition,
+                     ModulusOutOfRange, NotAUnit)
 from .fields import is_prime
 
 DEFAULT_N_CAP = 4096
@@ -90,10 +98,10 @@ class AffineActionContext:
 
     def __init__(self, n: int, a: int):
         if n < 2:
-            raise ValueError(f"modulus n = {n} must be >= 2")
+            raise ModulusOutOfRange(f"modulus n = {n} must be >= 2")
         a %= n
         if gcd(a, n) != 1:
-            raise ValueError(f"a = {a} is not a unit mod {n}")
+            raise NotAUnit(f"a = {a} is not a unit mod {n}")
         self.n = n
         self.a = a
         powers = [1]
@@ -192,7 +200,7 @@ class OrbitPartition:
         return (len(self.o1), tuple(sorted(self.o1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _ReducedPartition:
     """Partition quotiented by its radical: classes are unions of m-cosets.
 
@@ -234,66 +242,98 @@ def _reduce_partition(m: int, r1, r2) -> _ReducedPartition:
 # two-orbit subgroup enumeration
 # ---------------------------------------------------------------------------
 
-def _affine_cycle_count(k: int, b: int, t: int) -> int:
-    """Number of cycles of u -> b*u + t on Z_k, bailing out above 2."""
+def _zero_cycle_if_two(k: int, b: int, t: int) -> list[int] | None:
+    """The cycle through 0 of u -> b*u + t on Z_k if the map has exactly two
+    cycles, else None.  The other cycle is the complement."""
     seen = bytearray(k)
-    count = 0
-    for start in range(k):
-        if seen[start]:
-            continue
-        count += 1
-        if count > 2:
-            return count
-        u = start
-        while not seen[u]:
-            seen[u] = 1
-            u = (b * u + t) % k
-    return count
+    first = []
+    u = 0
+    while not seen[u]:
+        seen[u] = 1
+        first.append(u)
+        u = (b * u + t) % k
+    if len(first) == k:
+        return None
+    u = seen.index(0)
+    rest = 0
+    while not seen[u]:
+        seen[u] = 1
+        rest += 1
+        u = (b * u + t) % k
+    return first if len(first) + rest == k else None
 
 
-def _affine_cycles(k: int, b: int, t: int) -> list[list[int]]:
-    seen = bytearray(k)
-    cycles = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        cyc = []
-        u = start
-        while not seen[u]:
-            seen[u] = 1
-            cyc.append(u)
-            u = (b * u + t) % k
-        cycles.append(cyc)
-    return cycles
+def _canonical_mask(m: int, mask: int) -> int:
+    # the (size, min) rule of _reduce_partition, on residue bitmasks
+    rest = ((1 << m) - 1) ^ mask
+    if (mask.bit_count(), mask & -mask) > (rest.bit_count(), rest & -rest):
+        return rest
+    return mask
 
 
 @lru_cache(maxsize=None)
-def _two_orbit_shifts(k: int, b: int) -> tuple[int, ...]:
-    """All t in Z_k for which u -> b*u + t has exactly two cycles.
+def _reduced_from_mask(m: int, mask: int) -> _ReducedPartition:
+    # one shared object per partition: the same few partitions of Z_m recur
+    # in the tables of every multiple k of m
+    residues = []
+    while mask:
+        low = mask & -mask
+        residues.append(low.bit_length() - 1)
+        mask ^= low
+    return _ReducedPartition(m, frozenset(residues))
 
-    For b = 1 the map is a translation with gcd(t, k) cycles.  Otherwise the
-    maps with t and t + c*(1-b) are conjugate under u -> u + c, so the cycle
-    count only depends on t mod gcd(b-1, k) and one scan per residue class
-    suffices.
+
+# most (k, b) have no two-cycle map; their table entries share one value
+_NO_PARTITIONS: tuple[tuple, tuple] = ((), ())
+
+
+@lru_cache(maxsize=None)
+def _two_orbit_table(k: int, b: int) -> tuple[tuple[_ReducedPartition, ...],
+                                              tuple[int, ...]]:
+    """Distinct reduced partitions of Z_k into the two cycles of some map
+    u -> b*u + t, with the least witness t of each, ordered by t.
+
+    For b = 1 the map is a translation with gcd(t, k) cycles, so only
+    gcd(t, k) = 2 hits and every hit splits Z_k into evens and odds: the
+    table is (m = 2, {0}) with least witness t = 2 (t = 0 when k = 2), and
+    empty for odd k.  Otherwise the maps with t and t + c*(1-b) are
+    conjugate under u -> u + c, so the second partition is the first
+    translated by c.  The shifts c*(1-b) form gcd(b-1, k) Z_k, so one cycle
+    scan per class t0 mod gcd(b-1, k) settles the whole class, and every t
+    in a hit class yields its partition by a rotation of the residue mask.
     """
     if k == 1:
-        return ()
+        return _NO_PARTITIONS
     b %= k
     if b == 1:
-        return tuple(t for t in range(k) if gcd(t, k) == 2)
+        if k % 2:
+            return _NO_PARTITIONS
+        return (_reduced_from_mask(2, 1),), (0 if k == 2 else 2,)
     g = gcd(b - 1, k)
-    hits: list[int] = []
+    # t = t0 + j*g is t0 + c*(1-b) for c = j * inv mod k/g
+    inv = pow((1 - b) % k // g, -1, k // g)
+    least: dict[tuple[int, int], int] = {}
     for t0 in range(g):
-        if _affine_cycle_count(k, b, t0) == 2:
-            hits.extend(range(t0, k, g))
-    return tuple(sorted(hits))
-
-
-def _reduce_candidate(k: int, b: int, t: int) -> _ReducedPartition:
-    c1, c2 = _affine_cycles(k, b, t)
-    small = c1 if len(c1) <= len(c2) else c2
-    m = radical(small, k)
-    return _reduce_partition(m, {x % m for x in c1}, {x % m for x in c2})
+        cycle = _zero_cycle_if_two(k, b, t0)
+        if cycle is None:
+            continue
+        m = radical(cycle, k)
+        full = (1 << m) - 1
+        mask0 = 0
+        for x in cycle:
+            mask0 |= 1 << (x % m)
+        for j in range(k // g):
+            c = j * inv % (k // g) % m
+            key = (m, _canonical_mask(
+                m, ((mask0 << c) | (mask0 >> (m - c))) & full))
+            t = t0 + j * g
+            if t < least.get(key, k):
+                least[key] = t
+    if not least:
+        return _NO_PARTITIONS
+    ordered = sorted(least.items(), key=lambda e: e[1])
+    return (tuple(_reduced_from_mask(m, mask) for (m, mask), _ in ordered),
+            tuple(t for _, t in ordered))
 
 
 def two_orbit_partitions_with_generators(
@@ -303,7 +343,8 @@ def two_orbit_partitions_with_generators(
     """Reduced two-orbit partitions, each with one witness generator pair.
 
     The witness pair ((k, 0), (t, s)) generates a subgroup whose orbit
-    partition lifts the key.
+    partition lifts the key; it is the first hit in (k, s, t) ascending
+    order.
     """
     if ctx.n > cap:
         raise CapExceeded(f"n = {ctx.n} exceeds the enumeration cap {cap}")
@@ -311,8 +352,7 @@ def two_orbit_partitions_with_generators(
     for k in divisors(ctx.n):
         for s in divisors(ctx.m_ord):
             b = pow(ctx.a, s, k) if k > 1 else 0
-            for t in _two_orbit_shifts(k, b):
-                red = _reduce_candidate(k, b, t)
+            for red, t in zip(*_two_orbit_table(k, b)):
                 if red not in found:
                     found[red] = (AffineMapZn(k % ctx.n, 0),
                                   AffineMapZn(t, s % ctx.m_ord))

@@ -8,6 +8,9 @@ from the format description rather than by inverting the encoder.
 
 from math import gcd
 
+from rank3affine.znaction import (AffineMapZn, _reduce_partition, divisors,
+                                  radical)
+
 
 def brute_srg_params(neighbor_sets):
     """(v, k, lambda, mu) by direct common-neighbor counting, or None."""
@@ -134,3 +137,82 @@ def decode_graph6(data):
                 edges.add(frozenset((i, j)))
             pos += 1
     return v, edges
+
+
+# ---------------------------------------------------------------------------
+# per-shift enumerator: one cycle scan for every hitting t in Z_k
+# ---------------------------------------------------------------------------
+
+def _affine_cycle_count(k, b, t):
+    """Number of cycles of u -> b*u + t on Z_k, bailing out above 2."""
+    seen = bytearray(k)
+    count = 0
+    for start in range(k):
+        if seen[start]:
+            continue
+        count += 1
+        if count > 2:
+            return count
+        u = start
+        while not seen[u]:
+            seen[u] = 1
+            u = (b * u + t) % k
+    return count
+
+
+def _affine_cycles(k, b, t):
+    seen = bytearray(k)
+    cycles = []
+    for start in range(k):
+        if seen[start]:
+            continue
+        cyc = []
+        u = start
+        while not seen[u]:
+            seen[u] = 1
+            cyc.append(u)
+            u = (b * u + t) % k
+        cycles.append(cyc)
+    return cycles
+
+
+def _two_orbit_shifts(k, b):
+    """All t in Z_k for which u -> b*u + t has exactly two cycles.
+
+    For b = 1 the map is a translation with gcd(t, k) cycles.  Otherwise the
+    cycle count only depends on t mod gcd(b-1, k), so one count per residue
+    class decides the class.
+    """
+    if k == 1:
+        return ()
+    b %= k
+    if b == 1:
+        return tuple(t for t in range(k) if gcd(t, k) == 2)
+    g = gcd(b - 1, k)
+    hits = []
+    for t0 in range(g):
+        if _affine_cycle_count(k, b, t0) == 2:
+            hits.extend(range(t0, k, g))
+    return tuple(sorted(hits))
+
+
+def _reduce_candidate(k, b, t):
+    c1, c2 = _affine_cycles(k, b, t)
+    small = c1 if len(c1) <= len(c2) else c2
+    m = radical(small, k)
+    return _reduce_partition(m, {x % m for x in c1}, {x % m for x in c2})
+
+
+def per_shift_two_orbit_partitions(ctx):
+    """Reduced partition -> first witness pair, scanning every hitting t of
+    every (k, s) in ascending order."""
+    found = {}
+    for k in divisors(ctx.n):
+        for s in divisors(ctx.m_ord):
+            b = pow(ctx.a, s, k) if k > 1 else 0
+            for t in _two_orbit_shifts(k, b):
+                red = _reduce_candidate(k, b, t)
+                if red not in found:
+                    found[red] = (AffineMapZn(k % ctx.n, 0),
+                                  AffineMapZn(t, s % ctx.m_ord))
+    return found

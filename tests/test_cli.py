@@ -157,3 +157,80 @@ def test_identical_config_byte_identical_output(tmp_path, capsys):
                      "--output", str(path)]) == 0
     capsys.readouterr()
     assert c.read_bytes() == d.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# bad input and partial reports
+# ---------------------------------------------------------------------------
+
+def test_verify_theorem_non_prime_power_is_usage_error(capsys):
+    for q in ("6", "1"):
+        code, out, err = run(capsys, "verify", "--theorem", "--q", "9", "--q", q)
+        assert code == 2
+        assert "NotPrimePower" in err
+        assert out == ""
+
+
+def test_classify_cap_checked_before_building(capsys, monkeypatch):
+    import rank3affine.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_field called before the cap check")
+
+    monkeypatch.setattr(cli, "build_field", no_build)
+    for r in ("16", "1000000000"):
+        code, _, err = run(capsys, "classify", "--p", "2", "--r", r)
+        assert code == 2
+        assert "CapExceeded" in err
+
+
+def test_cap_failures_leave_no_report(capsys, tmp_path):
+    f, g = tmp_path / "f", tmp_path / "g"
+    assert run(capsys, "verify", "--theorem", "--q", "5", "--cap", "3",
+               "--output", str(f))[0] == 2
+    assert run(capsys, "verify", "--lemma", "--n-max", "5", "--cap", "3",
+               "--output", str(g))[0] == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_mid_report_keeps_previous_file(capsys, tmp_path, monkeypatch):
+    import rank3affine.classify as classify
+    from rank3affine.errors import CapExceeded
+
+    real = classify.classify_field
+
+    def fail_on_49(field, cap):
+        if field.q == 49:
+            raise CapExceeded("injected")
+        return real(field, cap=cap)
+
+    monkeypatch.setattr(classify, "classify_field", fail_on_49)
+    report = tmp_path / "thm.json"
+    report.write_text("previous\n")
+    code, _, err = run(capsys, "verify", "--theorem", "--q", "9", "--q", "49",
+                       "--output", str(report))
+    assert code == 2 and "injected" in err
+    assert report.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [report]
+
+
+def test_failing_verdict_still_writes_report(capsys, tmp_path, monkeypatch):
+    import rank3affine.classify as classify
+    from rank3affine.families import Unmatched
+
+    monkeypatch.setattr(classify, "_match_family",
+                        lambda field, part, case: (Unmatched(), False, 0))
+    report = tmp_path / "thm.json"
+    code, _, _ = run(capsys, "verify", "--theorem", "--q", "9",
+                     "--output", str(report))
+    assert code == 1
+    assert json.loads(report.read_text())["unmatched_total"] == 3
+    assert list(tmp_path.iterdir()) == [report]
+
+
+def test_report_file_mode_matches_plain_open(capsys, tmp_path):
+    report, plain = tmp_path / "thm.json", tmp_path / "plain"
+    plain.write_text("")
+    assert run(capsys, "verify", "--theorem", "--q", "9",
+               "--output", str(report))[0] == 0
+    assert report.stat().st_mode == plain.stat().st_mode

@@ -3,7 +3,8 @@ import random
 import pytest
 
 import oracles
-from rank3affine.errors import (CapExceeded, Directed, NotSymmetric, TooLarge)
+from rank3affine.errors import (CapExceeded, Directed, InfeasibleParameters,
+                                NotSymmetric, TooLarge)
 from rank3affine.families import (ConnectionSet, paley_connection_set,
                                   peisert_connection_set, vls_connection_set)
 from rank3affine.fields import build_field
@@ -128,7 +129,7 @@ def test_srg_cap():
 
 
 def test_feasibility_identity_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InfeasibleParameters):
         SrgParams(9, 4, 1, 3)
 
 

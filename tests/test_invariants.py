@@ -1,0 +1,44 @@
+"""Invariants hold under python -O, and bad arguments raise typed errors."""
+
+import ast
+import pathlib
+
+import pytest
+
+from rank3affine.errors import (BadVariant, FieldMismatch, IndexOutOfRange,
+                                ModulusOutOfRange, NotAUnit, NotPrimePower,
+                                Rank3Error)
+from rank3affine.classify import verify_theorem
+from rank3affine.families import (ConnectionSet, paley_connection_set,
+                                  peisert_connection_set)
+from rank3affine.fields import build_field
+from rank3affine.graphs import build_cayley
+from rank3affine.znaction import AffineActionContext
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rank3affine"
+
+
+def test_no_assert_statements_in_src():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [f"{path.name}:{node.lineno}"
+             for path in files
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_bad_arguments_raise_package_errors():
+    cases = [
+        (NotPrimePower, lambda: verify_theorem([6])),
+        (ModulusOutOfRange, lambda: AffineActionContext(1, 1)),
+        (NotAUnit, lambda: AffineActionContext(6, 2)),
+        (IndexOutOfRange, lambda: ConnectionSet(build_field(5, 1), {4})),
+        (BadVariant, lambda: peisert_connection_set(build_field(3, 2), 2)),
+        (FieldMismatch, lambda: build_cayley(
+            build_field(5, 1), paley_connection_set(build_field(13, 1)))),
+    ]
+    for error, call in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert isinstance(info.value, Rank3Error)

@@ -6,8 +6,10 @@ import pytest
 
 import oracles
 from rank3affine.errors import CapExceeded, EmptySet, MalformedPartition
+from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
-                                  OrbitPartition, Violation, classify_partition,
+                                  OrbitPartition, Violation, _ReducedPartition,
+                                  _two_orbit_table, classify_partition,
                                   enumerate_two_orbit_partitions, orbits, radical,
                                   two_orbit_partitions_with_generators, units,
                                   verify_lemma)
@@ -152,6 +154,32 @@ def test_witness_generators_reproduce_partitions():
                 classes = orbits(ctx, list(gens))
                 assert len(classes) == 2
                 assert {classes[0], classes[1]} == {part.o1, part.o2}
+
+
+def test_translation_table_closed_form_for_b_one():
+    evens = _ReducedPartition(2, frozenset({0}))
+    assert _two_orbit_table(2, 1) == ((evens,), (0,))
+    for k in range(4, 64, 2):
+        assert _two_orbit_table(k, 1) == ((evens,), (2,))
+    for k in range(1, 64, 2):
+        assert _two_orbit_table(k, 1) == ((), ())
+
+
+def test_matches_per_shift_oracle_lemma_contexts():
+    # same keys, same witness pairs, same order
+    for n in range(2, 121):
+        for a in units(n):
+            ctx = AffineActionContext(n, a)
+            assert list(two_orbit_partitions_with_generators(ctx).items()) == \
+                list(oracles.per_shift_two_orbit_partitions(ctx).items()), (n, a)
+
+
+def test_matches_per_shift_oracle_field_contexts():
+    for q in prime_powers_up_to(512)[1:] + [4096]:
+        p, _ = as_prime_power(q)
+        ctx = AffineActionContext(q - 1, p % (q - 1))
+        assert list(two_orbit_partitions_with_generators(ctx).items()) == \
+            list(oracles.per_shift_two_orbit_partitions(ctx).items()), q
 
 
 def test_matches_pair_closure_oracle_small():
