@@ -13,13 +13,13 @@ from .families import (ConnectionSet, GeneralizedPaley, Paley, Peisert, Unmatche
                        coarsenings_of_quartic_partition, latin_square_tag,
                        paley_connection_set, peisert_connection_set,
                        vls_connection_set)
-from .fields import FieldElement, FiniteField, build_field
+from .fields import FiniteField, build_field
 from .graphs import (CayleyGraph, NotStronglyRegular, SrgParams, build_cayley,
                      export_edge_list, export_graph6, is_isomorphic_small,
                      paley_parameter_formula, srg_params)
 from .znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
-                       OrbitPartition, Violation, classify_partition,
-                       enumerate_two_orbit_partitions, orbits, radical,
+                       OrbitPartition, Violation, classify_partition, orbits,
+                       radical, two_orbit_partitions_with_generators,
                        verify_lemma)
 from . import errors
 
@@ -28,14 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineActionContext", "AffineMapZn", "Case1", "Case2", "CayleyGraph",
     "ClassificationReport", "ClassifiedPartition", "ConnectionSet",
-    "FieldElement", "FiniteField", "GeneralizedPaley", "NotStronglyRegular",
-    "OrbitPartition", "Paley", "Peisert", "SrgParams", "Unmatched",
-    "Violation", "build_cayley", "build_field", "classify_field",
-    "classify_partition", "coarsenings_of_quartic_partition",
-    "enumerate_two_orbit_partitions", "errors", "export_edge_list",
+    "FiniteField", "GeneralizedPaley", "NotStronglyRegular", "OrbitPartition",
+    "Paley", "Peisert", "SrgParams", "Unmatched", "Violation",
+    "build_cayley", "build_field", "classify_field", "classify_partition",
+    "coarsenings_of_quartic_partition", "errors", "export_edge_list",
     "export_graph6", "gammal1_context", "is_isomorphic_small",
     "latin_square_tag", "orbits", "paley_connection_set",
     "paley_parameter_formula", "peisert_connection_set", "prime_powers_up_to",
-    "radical", "srg_params", "verify_lemma", "verify_theorem",
-    "vls_connection_set",
+    "radical", "srg_params", "two_orbit_partitions_with_generators",
+    "verify_lemma", "verify_theorem", "vls_connection_set",
 ]

@@ -2,12 +2,17 @@
 
 GammaL(1, q) acting on F_q^* becomes, in dlog coordinates, the affine group
 Z_{q-1} x| <p>: multiplication by omega is translation by 1 and the
-Frobenius map is multiplication by p.  Enumerating two-orbit subgroup
-partitions of that context and matching each against the family connection
-sets (literal set equality, up to complement and up to a translation in
-index space, which is a multiplicative shift of the connection set and a
-graph isomorphism) checks that the Paley, generalized Paley and Peisert
-sets are the only possibilities.
+Frobenius map is multiplication by p.  Every two-orbit subgroup partition
+of that context is classified by the lemma, and its case names the family:
+case 1 with m = 2 is the Paley set, case 1 with an odd prime m the
+generalized Paley set of index m, and case 2 a Peisert set.  Each is
+matched when that family's preconditions hold for GF(q).  No class is
+compared with a family set: a case-1 first class is the single coset
+shift + mZ_{q-1}, the family set translated by shift (a multiplicative
+shift of the connection set, hence a graph isomorphism), and a case-2
+first class has residues {0, variant} mod 4, the Peisert set itself.
+Together this checks that the Paley, generalized Paley and Peisert sets
+are the only possibilities.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ from .errors import (CapExceeded, CharCondition, DegenerateModulus,
                      DegreeCondition, InvariantViolation, NotPrime,
                      NotPrimePower, OrderCondition)
 from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
-                       label_to_json, paley_index_set, peisert_connection_set,
+                       label_to_json, peisert_connection_set,
                        vls_connection_set)
 from .fields import FiniteField, build_field
 from .znaction import (AffineActionContext, Case1, Case2, LemmaCase,
-                       OrbitPartition, Violation, _classify_reduced,
-                       case_to_json, two_orbit_partitions_with_generators)
+                       OrbitPartition, Violation, case_to_json,
+                       classify_partition, two_orbit_partitions_with_generators)
 
 DEFAULT_Q_CAP = 4096
 
@@ -47,17 +52,20 @@ class ClassifiedPartition:
     partition: OrbitPartition
     lemma_case: LemmaCase
     family: FamilyLabel
-    complemented: bool
     shift: int
 
-    def to_json(self, include_classes: bool = True) -> dict:
-        c1, c2 = self.partition.classes_sorted()
+    def to_json(self, n: int | None = None) -> dict:
+        """The report entry, led by the classes of Z_n when n is given.
+
+        The first class is the family set itself, never its complement,
+        so "complemented" is always false; the key stays in the schema.
+        """
         doc: dict = {}
-        if include_classes:
-            doc["classes"] = [c1, c2]
+        if n is not None:
+            doc["classes"] = list(self.partition.classes(n))
         doc["lemma_case"] = case_to_json(self.lemma_case)
         doc["family"] = label_to_json(self.family)
-        doc["complemented"] = self.complemented
+        doc["complemented"] = False
         doc["shift"] = self.shift
         return doc
 
@@ -75,14 +83,15 @@ class ClassificationReport:
                 seen.add(family_key(e.family))
         return sorted(seen)
 
-    def to_json(self, include_classes: bool = True) -> dict:
+    def to_json(self) -> dict:
         desc = self.field.descriptor()
+        n = self.field.q - 1
         return {
             "q": desc["q"],
             "p": desc["p"],
             "r": desc["r"],
             "field": desc,
-            "partitions": [e.to_json(include_classes) for e in self.entries],
+            "partitions": [e.to_json(n) for e in self.entries],
             "families": self.families_present(),
             "unmatched": self.unmatched_count,
         }
@@ -98,42 +107,23 @@ def family_key(label: FamilyLabel) -> str:
     return "unmatched"
 
 
-def _match_family(field: FiniteField, part: OrbitPartition,
-                  case: LemmaCase) -> tuple[FamilyLabel, bool, int]:
-    """Literal index-set match against the family the case points at.
+def _match_family(field: FiniteField, case: LemmaCase) -> tuple[FamilyLabel, int]:
+    """The family the lemma case points at, if GF(q) meets its preconditions.
 
-    Returns (label, complemented, shift) where the matched class equals the
-    family set translated by shift (multiplication by omega^shift on the
-    field side).
+    Returns (label, shift): the first class is the family set translated by
+    shift (multiplication by omega^shift on the field side).
     """
-    n = field.q - 1
-    if isinstance(case, Case1):
-        if case.m == 2:
-            base = paley_index_set(field.q)
-            label: FamilyLabel = Paley()
-        else:
-            try:
-                conn = vls_connection_set(field, case.m, allow_directed=True)
-            except (NotPrime, OrderCondition, DegreeCondition):
-                return Unmatched(), False, 0
-            base, label = conn.indices, conn.label
-        target = frozenset((x + case.shift) % n for x in base)
-        if part.o1 == target:
-            return label, False, case.shift
-        if part.o2 == target:
-            return label, True, case.shift
-        return Unmatched(), False, 0
-    if isinstance(case, Case2):
-        try:
-            conn = peisert_connection_set(field, case.variant)
-        except (CharCondition, DegreeCondition):
-            return Unmatched(), False, 0
-        if part.o1 == conn.indices:
-            return conn.label, False, 0
-        if part.o2 == conn.indices:
-            return conn.label, True, 0
-        return Unmatched(), False, 0
-    return Unmatched(), False, 0
+    try:
+        if isinstance(case, Case1):
+            if case.m == 2:
+                return Paley(), case.shift
+            conn = vls_connection_set(field, case.m, allow_directed=True)
+            return conn.label, case.shift
+        if isinstance(case, Case2):
+            return peisert_connection_set(field, case.variant).label, 0
+    except (NotPrime, OrderCondition, DegreeCondition, CharCondition):
+        pass
+    return Unmatched(), 0
 
 
 def classify_field(field: FiniteField, cap: int = DEFAULT_Q_CAP) -> ClassificationReport:
@@ -146,14 +136,12 @@ def classify_field(field: FiniteField, cap: int = DEFAULT_Q_CAP) -> Classificati
     found = two_orbit_partitions_with_generators(ctx, cap=cap)
     entries = []
     unmatched = 0
-    for red in sorted(found, key=lambda r: (len(r.r1) * ((field.q - 1) // r.m),
-                                            r.m, sorted(r.r1))):
-        part = red.lift(field.q - 1)
-        case = _classify_reduced(ctx, red)
-        family, complemented, shift = _match_family(field, part, case)
+    for part in sorted(found, key=lambda part: part.sort_key(ctx.n)):
+        case = classify_partition(ctx, part)
+        family, shift = _match_family(field, case)
         if isinstance(family, Unmatched) or isinstance(case, Violation):
             unmatched += 1
-        entries.append(ClassifiedPartition(part, case, family, complemented, shift))
+        entries.append(ClassifiedPartition(part, case, family, shift))
     return ClassificationReport(field, entries, unmatched)
 
 

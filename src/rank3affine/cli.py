@@ -15,7 +15,7 @@ import tempfile
 
 from .classify import (DEFAULT_Q_CAP, classify_field, prime_powers_up_to,
                        verify_theorem)
-from .errors import CapExceeded, Rank3Error
+from .errors import CapExceeded, OutputNotWritable, Rank3Error
 from .families import (label_to_json, paley_connection_set,
                        peisert_connection_set, vls_connection_set)
 from .fields import DEFAULT_FIELD_CAP, build_field
@@ -80,19 +80,27 @@ def build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _out_stream(path: str | None):
     """Stdout, or a temp file beside path that replaces path on a normal
-    return and is removed on an exception, so no partial report is left."""
+    return and is removed on an exception, so no partial report is left.
+    A path that cannot be written raises OutputNotWritable naming it."""
     if not path:
         yield sys.stdout
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=".rank3affine-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".rank3affine-", suffix=".tmp")
+    except OSError as exc:
+        raise OutputNotWritable(f"cannot write {path}: {exc.strerror}") from None
     try:
         with open(fd, "w", encoding="ascii") as fh:
             yield fh
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OutputNotWritable(
+                f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -174,13 +182,12 @@ def cmd_classify(args) -> int:
             out.write(f"GF({field.q}): {len(report.entries)} two-orbit "
                       f"partition(s), unmatched {report.unmatched_count}\n")
             for e in report.entries:
-                c1, c2 = e.partition.classes_sorted()
-                doc = e.to_json(include_classes=False)
+                c1, c2 = e.partition.classes(field.q - 1)
+                doc = e.to_json()
                 out.write(f"  |O1|={len(c1)} |O2|={len(c2)} "
                           f"case={json.dumps(doc['lemma_case'])} "
                           f"family={json.dumps(doc['family'])} "
-                          f"shift={e.shift}"
-                          f"{' (complement)' if e.complemented else ''}\n")
+                          f"shift={e.shift}\n")
         else:
             json.dump(report.to_json(), out, indent=2)
             out.write("\n")

@@ -46,6 +46,10 @@ class FieldMismatch(Rank3Error):
     pass
 
 
+class OutputNotWritable(Rank3Error):
+    """The report cannot be written at the requested path."""
+
+
 class LogOfZero(Rank3Error):
     pass
 

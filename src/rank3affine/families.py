@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (BadVariant, CharCondition, ContainsZero, DegreeCondition,
-                     EmptySet, IndexOutOfRange, InvariantViolation, NotAUnit,
-                     NotPrime, NotSymmetric, OrderCondition,
-                     QuarticUnavailable)
-from .fields import FiniteField, is_prime
+                     EmptySet, IndexOutOfRange, InvariantViolation, NotPrime,
+                     NotSymmetric, OrderCondition, QuarticUnavailable)
+from .fields import FiniteField, is_prime, mult_order
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +130,6 @@ def _require_symmetric(conn: ConnectionSet, allow_directed: bool, detail: str) -
     if not allow_directed and not conn.is_symmetric():
         raise NotSymmetric(detail)
     return conn
-
-
-def mult_order(x: int, modulus: int) -> int:
-    """Multiplicative order of x modulo modulus (x must be a unit)."""
-    cur = x % modulus
-    order = 1
-    while cur != 1 % modulus:
-        cur = cur * x % modulus
-        order += 1
-        if order > modulus:
-            raise NotAUnit(f"{x} is not a unit mod {modulus}")
-    return order
 
 
 def vls_index_set(q: int, ell: int) -> frozenset:

@@ -16,12 +16,12 @@ Fields are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .errors import (CapExceeded, DegreeOutOfRange, FieldMismatch, IndexOutOfRange,
-                     LogOfZero, NotPrime)
+from .errors import CapExceeded, DegreeOutOfRange, LogOfZero, NotAUnit, NotPrime
 
 DEFAULT_FIELD_CAP = 2 ** 20
 
@@ -54,6 +54,19 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+@lru_cache(maxsize=None)
+def mult_order(x: int, modulus: int) -> int:
+    """Multiplicative order of x modulo modulus (x must be a unit)."""
+    cur = x % modulus
+    order = 1
+    while cur != 1 % modulus:
+        cur = cur * x % modulus
+        order += 1
+        if order > modulus:
+            raise NotAUnit(f"{x} is not a unit mod {modulus}")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +196,6 @@ class FiniteField:
     def coeffs(self, x: int) -> tuple[int, ...]:
         return self._decode(x)
 
-    def from_coeffs(self, coeffs) -> int:
-        return self._encode(tuple(c % self.p for c in coeffs))
-
     def add(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
@@ -200,9 +210,6 @@ class FiniteField:
         if self.r == 1:
             return (-x) % self.p
         return self._encode(tuple((-a) % self.p for a in self._decode(x)))
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -256,11 +263,6 @@ class FiniteField:
 
     # -- misc ----------------------------------------------------------------
 
-    def element(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise IndexOutOfRange(f"element code {code} out of range [0, {self.q})")
-        return FieldElement(self, code)
-
     def descriptor(self) -> dict:
         return {
             "p": self.p,
@@ -280,51 +282,3 @@ class FiniteField:
 def build_field(p: int, r: int, cap: int = DEFAULT_FIELD_CAP) -> FiniteField:
     """Construct GF(p^r) with a verified modulus and primitive element."""
     return FiniteField(p, r, cap=cap)
-
-
-class FieldElement:
-    """Thin operator wrapper over an element code bound to its field."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FiniteField, code: int):
-        self.field = field
-        self.code = code
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if not self.field.same_field(other.field):
-                raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-            return other.code
-        # plain integers land in the prime subfield, whose codes are 0..p-1
-        return int(other) % self.field.p
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.code)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.code, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.code, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.code, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field.same_field(other.field) and self.code == other.code
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.r, self.code))
-
-    def __repr__(self) -> str:
-        return f"FieldElement(GF({self.field.q}), {self.code})"

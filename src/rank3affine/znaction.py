@@ -46,7 +46,7 @@ from math import gcd
 
 from .errors import (CapExceeded, EmptySet, MalformedPartition,
                      ModulusOutOfRange, NotAUnit)
-from .fields import is_prime
+from .fields import is_prime, mult_order
 
 DEFAULT_N_CAP = 4096
 
@@ -112,23 +112,6 @@ class AffineActionContext:
         self.m_ord = len(powers)
         self._a_pow = powers
 
-    def apply(self, g: AffineMapZn, u: int) -> int:
-        return (self._a_pow[g.s % self.m_ord] * u + g.t) % self.n
-
-    def compose(self, g: AffineMapZn, h: AffineMapZn) -> AffineMapZn:
-        """The map 'g then h' as a single element."""
-        s = (g.s + h.s) % self.m_ord
-        t = (self._a_pow[h.s % self.m_ord] * g.t + h.t) % self.n
-        return AffineMapZn(t, s)
-
-    def inverse(self, g: AffineMapZn) -> AffineMapZn:
-        s = (-g.s) % self.m_ord
-        t = (-self._a_pow[s] * g.t) % self.n
-        return AffineMapZn(t, s)
-
-    def identity(self) -> AffineMapZn:
-        return AffineMapZn(0, 0)
-
     def __repr__(self) -> str:
         return f"AffineActionContext(n={self.n}, a={self.a}, m_ord={self.m_ord})"
 
@@ -165,77 +148,33 @@ def orbits(ctx: AffineActionContext, generators) -> list[frozenset]:
 # partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Two-class partition of Z_n, ordered by (size, smallest element).
-
-    m is the index of the common radical of the classes: rad(O1) = m Z_n.
-    """
-
-    n: int
-    o1: frozenset
-    o2: frozenset
-    m: int
-
-    @classmethod
-    def from_classes(cls, n: int, c1, c2) -> "OrbitPartition":
-        c1, c2 = frozenset(c1), frozenset(c2)
-        if not c1 or not c2 or (c1 & c2) or len(c1) + len(c2) != n \
-                or not all(0 <= x < n for x in c1 | c2):
-            raise MalformedPartition(
-                f"classes do not form a two-class partition of Z_{n}")
-        if (len(c1), min(c1)) > (len(c2), min(c2)):
-            c1, c2 = c2, c1
-        m = radical(c1, n)
-        return cls(n, c1, c2, m)
-
-    def classes_sorted(self) -> tuple[list[int], list[int]]:
-        return sorted(self.o1), sorted(self.o2)
-
-    def residues(self) -> frozenset:
-        """Residues of O1 modulo the radical index m."""
-        return frozenset(x % self.m for x in self.o1)
-
-    def sort_key(self):
-        return (len(self.o1), tuple(sorted(self.o1)))
-
-
 @dataclass(frozen=True, slots=True)
-class _ReducedPartition:
-    """Partition quotiented by its radical: classes are unions of m-cosets.
+class OrbitPartition:
+    """Two-class partition of Z_n, quotiented by its radical.
 
-    r1 holds the residues mod m of the canonical first class; the second
-    class has the complementary residues.  The full partition of Z_n is
-    {x : x % m in r1} vs the rest.
+    m is the radical index, rad(O1) = rad(O2) = m Z_n, so both classes are
+    unions of m-cosets.  r1 holds the residues mod m of the first class in
+    (size, smallest element) order; the second class has the complementary
+    residues.  The same object describes the partition for every n that m
+    divides.
     """
 
     m: int
     r1: frozenset
 
-    @property
-    def r2(self) -> frozenset:
-        return frozenset(range(self.m)) - self.r1
-
-    def sizes(self, n: int) -> tuple[int, int]:
-        s1 = len(self.r1) * (n // self.m)
-        return s1, n - s1
-
-    def lift(self, n: int) -> OrbitPartition:
+    def classes(self, n: int) -> tuple[list[int], list[int]]:
+        """The two classes of Z_n, each ascending."""
         mark = bytearray(self.m)
         for x in self.r1:
             mark[x] = 1
-        c1 = frozenset(x for x in range(n) if mark[x % self.m])
-        c2 = frozenset(x for x in range(n) if not mark[x % self.m])
-        return OrbitPartition.from_classes(n, c1, c2)
+        c1, c2 = [], []
+        for x in range(n):
+            (c1 if mark[x % self.m] else c2).append(x)
+        return c1, c2
 
-
-def _reduce_partition(m: int, r1, r2) -> _ReducedPartition:
-    # class sizes scale the residue counts by the common factor n/m, so the
-    # canonical (size, min) comparison can run on residues directly
-    r1, r2 = frozenset(r1), frozenset(r2)
-    if (len(r1), min(r1)) > (len(r2), min(r2)):
-        r1 = r2
-    return _ReducedPartition(m, r1)
+    def sort_key(self, n: int):
+        """Report order on Z_n: first-class size, then m, then residues."""
+        return len(self.r1) * (n // self.m), self.m, sorted(self.r1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +203,8 @@ def _zero_cycle_if_two(k: int, b: int, t: int) -> list[int] | None:
 
 
 def _canonical_mask(m: int, mask: int) -> int:
-    # the (size, min) rule of _reduce_partition, on residue bitmasks
+    # the first class by (size, min); class sizes scale the residue counts
+    # by the common factor n/m, so the rule can run on residues directly
     rest = ((1 << m) - 1) ^ mask
     if (mask.bit_count(), mask & -mask) > (rest.bit_count(), rest & -rest):
         return rest
@@ -272,7 +212,7 @@ def _canonical_mask(m: int, mask: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduced_from_mask(m: int, mask: int) -> _ReducedPartition:
+def _partition_from_mask(m: int, mask: int) -> OrbitPartition:
     # one shared object per partition: the same few partitions of Z_m recur
     # in the tables of every multiple k of m
     residues = []
@@ -280,7 +220,7 @@ def _reduced_from_mask(m: int, mask: int) -> _ReducedPartition:
         low = mask & -mask
         residues.append(low.bit_length() - 1)
         mask ^= low
-    return _ReducedPartition(m, frozenset(residues))
+    return OrbitPartition(m, frozenset(residues))
 
 
 # most (k, b) have no two-cycle map; their table entries share one value
@@ -288,9 +228,9 @@ _NO_PARTITIONS: tuple[tuple, tuple] = ((), ())
 
 
 @lru_cache(maxsize=None)
-def _two_orbit_table(k: int, b: int) -> tuple[tuple[_ReducedPartition, ...],
+def _two_orbit_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
                                               tuple[int, ...]]:
-    """Distinct reduced partitions of Z_k into the two cycles of some map
+    """Distinct partitions of Z_k into the two cycles of some map
     u -> b*u + t, with the least witness t of each, ordered by t.
 
     For b = 1 the map is a translation with gcd(t, k) cycles, so only
@@ -308,7 +248,7 @@ def _two_orbit_table(k: int, b: int) -> tuple[tuple[_ReducedPartition, ...],
     if b == 1:
         if k % 2:
             return _NO_PARTITIONS
-        return (_reduced_from_mask(2, 1),), (0 if k == 2 else 2,)
+        return (_partition_from_mask(2, 1),), (0 if k == 2 else 2,)
     g = gcd(b - 1, k)
     # t = t0 + j*g is t0 + c*(1-b) for c = j * inv mod k/g
     inv = pow((1 - b) % k // g, -1, k // g)
@@ -332,40 +272,31 @@ def _two_orbit_table(k: int, b: int) -> tuple[tuple[_ReducedPartition, ...],
     if not least:
         return _NO_PARTITIONS
     ordered = sorted(least.items(), key=lambda e: e[1])
-    return (tuple(_reduced_from_mask(m, mask) for (m, mask), _ in ordered),
+    return (tuple(_partition_from_mask(m, mask) for (m, mask), _ in ordered),
             tuple(t for _, t in ordered))
 
 
 def two_orbit_partitions_with_generators(
         ctx: AffineActionContext,
         cap: int = DEFAULT_N_CAP,
-) -> dict[_ReducedPartition, tuple[AffineMapZn, AffineMapZn]]:
-    """Reduced two-orbit partitions, each with one witness generator pair.
+) -> dict[OrbitPartition, tuple[AffineMapZn, AffineMapZn]]:
+    """Two-orbit partitions, each with one witness generator pair.
 
     The witness pair ((k, 0), (t, s)) generates a subgroup whose orbit
-    partition lifts the key; it is the first hit in (k, s, t) ascending
+    partition of Z_n is the key; it is the first hit in (k, s, t) ascending
     order.
     """
     if ctx.n > cap:
         raise CapExceeded(f"n = {ctx.n} exceeds the enumeration cap {cap}")
-    found: dict[_ReducedPartition, tuple[AffineMapZn, AffineMapZn]] = {}
+    found: dict[OrbitPartition, tuple[AffineMapZn, AffineMapZn]] = {}
     for k in divisors(ctx.n):
         for s in divisors(ctx.m_ord):
             b = pow(ctx.a, s, k) if k > 1 else 0
-            for red, t in zip(*_two_orbit_table(k, b)):
-                if red not in found:
-                    found[red] = (AffineMapZn(k % ctx.n, 0),
+            for part, t in zip(*_two_orbit_table(k, b)):
+                if part not in found:
+                    found[part] = (AffineMapZn(k % ctx.n, 0),
                                   AffineMapZn(t, s % ctx.m_ord))
     return found
-
-
-def enumerate_two_orbit_partitions(
-        ctx: AffineActionContext,
-        cap: int = DEFAULT_N_CAP,
-) -> set[OrbitPartition]:
-    """All orbit partitions of two-orbit subgroups of Z_n x| <alpha>."""
-    return {red.lift(ctx.n)
-            for red in two_orbit_partitions_with_generators(ctx, cap)}
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +326,23 @@ class Violation:
 LemmaCase = Case1 | Case2 | Violation
 
 
-def _quotient_transitive(a: int, m: int) -> bool:
-    # orbit of 1 under multiplication by a must cover all nonzero classes
-    if gcd(a, m) != 1:
-        return False
-    seen = 0
-    cur = 1 % m
-    while True:
-        seen += 1
-        cur = cur * a % m
-        if cur == 1 % m:
-            break
-    return seen == m - 1
-
-
-def _classify_reduced(ctx: AffineActionContext, red: _ReducedPartition) -> LemmaCase:
-    m, r1 = red.m, red.r1
+def classify_partition(ctx: AffineActionContext, part: OrbitPartition) -> LemmaCase:
+    """Match a two-orbit partition against the two admissible shapes."""
+    m, r1 = part.m, part.r1
+    if m < 1 or ctx.n % m:
+        raise MalformedPartition(
+            f"radical index {m} does not divide n = {ctx.n}")
     if m > 1 and is_prime(m):
         if len(r1) != 1:
             return Violation(
                 f"radical index {m} is prime but the small class is not a single coset")
-        if not _quotient_transitive(ctx.a % m, m):
+        # m prime: the nonzero classes form a cyclic group of order m - 1
+        if mult_order(ctx.a % m, m) != m - 1:
             return Violation(
                 f"multiplication by a is not transitive on the nonzero classes mod {m}")
         return Case1(m, next(iter(r1)))
     if m == 4:
-        if red.sizes(ctx.n)[0] * 2 != ctx.n:
+        if 2 * len(r1) != m:
             return Violation("radical index 4 but the classes are not equal halves")
         if r1 not in (frozenset({0, 1}), frozenset({0, 3})):
             return Violation(
@@ -429,16 +351,6 @@ def _classify_reduced(ctx: AffineActionContext, red: _ReducedPartition) -> Lemma
             return Violation("a is not -1 modulo 4")
         return Case2(1 if 1 in r1 else 3)
     return Violation(f"radical index {m} is neither prime nor 4")
-
-
-def classify_partition(ctx: AffineActionContext, part: OrbitPartition) -> LemmaCase:
-    """Match a two-orbit partition against the two admissible shapes."""
-    if not isinstance(part, OrbitPartition) or part.n != ctx.n:
-        raise MalformedPartition("partition does not live on this context's Z_n")
-    red = _reduce_partition(part.m,
-                            {x % part.m for x in part.o1},
-                            {x % part.m for x in part.o2})
-    return _classify_reduced(ctx, red)
 
 
 def case_to_json(case: LemmaCase) -> dict:
@@ -476,12 +388,10 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
         for a in units(n):
             ctx = AffineActionContext(n, a)
             found = two_orbit_partitions_with_generators(ctx, cap=cap)
-            reds = sorted(found, key=lambda r: (len(r.r1) * (n // r.m),
-                                                r.m, sorted(r.r1)))
             entries = []
             counts = [0, 0, 0]  # case1, case2, violations
-            for red in reds:
-                case = _classify_reduced(ctx, red)
+            for part in sorted(found, key=lambda part: part.sort_key(n)):
+                case = classify_partition(ctx, part)
                 entry = case_to_json(case)
                 if isinstance(case, Case1):
                     counts[0] += 1
@@ -489,16 +399,13 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                     counts[1] += 1
                 else:
                     counts[2] += 1
-                    lifted = red.lift(n)
                     violations.append({
                         "n": n, "a": a,
-                        "classes": [sorted(lifted.o1), sorted(lifted.o2)],
+                        "classes": list(part.classes(n)),
                         "reason": case.reason,
                     })
                 if include_classes:
-                    lifted = red.lift(n)
-                    c1, c2 = lifted.classes_sorted()
-                    entry["classes"] = [c1, c2]
+                    entry["classes"] = list(part.classes(n))
                 entries.append(entry)
             total += len(entries)
             if sink:

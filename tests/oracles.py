@@ -8,8 +8,7 @@ from the format description rather than by inverting the encoder.
 
 from math import gcd
 
-from rank3affine.znaction import (AffineMapZn, _reduce_partition, divisors,
-                                  radical)
+from rank3affine.znaction import AffineMapZn, OrbitPartition, divisors, radical
 
 
 def brute_srg_params(neighbor_sets):
@@ -200,7 +199,12 @@ def _reduce_candidate(k, b, t):
     c1, c2 = _affine_cycles(k, b, t)
     small = c1 if len(c1) <= len(c2) else c2
     m = radical(small, k)
-    return _reduce_partition(m, {x % m for x in c1}, {x % m for x in c2})
+    r1, r2 = frozenset(x % m for x in c1), frozenset(x % m for x in c2)
+    # the first class leads by (size, smallest element); class sizes are the
+    # residue counts times k/m, so residues decide
+    if (len(r1), min(r1)) > (len(r2), min(r2)):
+        r1 = r2
+    return OrbitPartition(m, r1)
 
 
 def per_shift_two_orbit_partitions(ctx):

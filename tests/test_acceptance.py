@@ -19,7 +19,7 @@ from rank3affine.fields import build_field
 from rank3affine.graphs import (build_cayley, export_graph6, is_isomorphic_small,
                                 paley_parameter_formula, srg_params)
 from rank3affine.znaction import (AffineActionContext,
-                                  enumerate_two_orbit_partitions, units)
+                                  two_orbit_partitions_with_generators, units)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -54,8 +54,8 @@ def test_criterion_2_lemma_oracle_equivalence():
     for n in range(2, 25):
         for a in units(n):
             ctx = AffineActionContext(n, a)
-            ours = {frozenset([p.o1, p.o2])
-                    for p in enumerate_two_orbit_partitions(ctx)}
+            ours = {frozenset(frozenset(c) for c in p.classes(n))
+                    for p in two_orbit_partitions_with_generators(ctx)}
             brute = oracles.pair_closure_two_orbit_partitions(n, a)
             if ours != brute:
                 mismatches.append((n, a))
@@ -129,7 +129,7 @@ def test_criterion_6_coarsening_remark():
         if len(firsts) != 3:
             failures.append((q, "coarsenings not pairwise distinct"))
             continue
-        produced = {frozenset([e.partition.o1, e.partition.o2])
+        produced = {frozenset(frozenset(c) for c in e.partition.classes(q - 1))
                     for e in classify_field(field).entries}
         for c in coarsenings:
             if frozenset([c.first, c.second]) not in produced:
@@ -149,7 +149,7 @@ def test_criterion_7_degenerate_gf4():
     field = build_field(2, 2)
     report = classify_field(field)
     singleton = [e for e in report.entries
-                 if e.partition.o1 == frozenset({0})
+                 if e.partition.classes(3)[0] == [0]
                  and e.family == GeneralizedPaley(ell=3, k=1)]
     graph = build_cayley(field, vls_connection_set(field, 3))
     ok = (len(singleton) == 1

@@ -44,8 +44,12 @@ def test_dictionary_equivariance():
 # per-field classification
 # ---------------------------------------------------------------------------
 
+def entry_classes(report, e):
+    return [frozenset(c) for c in e.partition.classes(report.field.q - 1)]
+
+
 def entry_class_sets(report):
-    return {frozenset([e.partition.o1, e.partition.o2]) for e in report.entries}
+    return {frozenset(entry_classes(report, e)) for e in report.entries}
 
 
 def test_gf5_single_paley_partition():
@@ -53,7 +57,7 @@ def test_gf5_single_paley_partition():
     assert len(report.entries) == 1
     entry = report.entries[0]
     assert entry.family == Paley()
-    assert sorted(entry.partition.o1) == [0, 2]
+    assert entry.partition.classes(4) == ([0, 2], [1, 3])
     assert report.unmatched_count == 0
 
 
@@ -72,7 +76,8 @@ def test_gf9_partitions():
 def test_gf4_degenerate_vls():
     report = classify_field(build_field(2, 2))
     assert report.unmatched_count == 0
-    singleton = [e for e in report.entries if e.partition.o1 == frozenset({0})]
+    singleton = [e for e in report.entries
+                 if entry_classes(report, e)[0] == frozenset({0})]
     assert len(singleton) == 1
     assert singleton[0].family == GeneralizedPaley(ell=3, k=1)
     # translated copies carry the multiplicative shift
@@ -125,23 +130,23 @@ def test_classification_cap():
 # ---------------------------------------------------------------------------
 
 def test_matched_class_equals_family_set_up_to_shift_and_complement():
-    for p, r in [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2)]:
-        field = build_field(p, r)
-        report = classify_field(field)
-        n = field.q - 1
+    # the literal oracle for matching by lemma case: the first class is the
+    # family set translated by the shift, never its complement
+    for q in prime_powers_up_to(1024)[1:]:
+        p, r = as_prime_power(q)
+        report = classify_field(build_field(p, r))
+        n = q - 1
         for e in report.entries:
             assert not isinstance(e.family, Unmatched)
             if isinstance(e.family, Paley):
-                base = paley_index_set(field.q)
+                base = paley_index_set(q)
             elif isinstance(e.family, GeneralizedPaley):
-                base = vls_index_set(field.q, e.family.ell)
+                base = vls_index_set(q, e.family.ell)
             else:
-                base = peisert_index_set(field.q, e.family.variant)
-            target = frozenset((x + e.shift) % n for x in base)
-            matched = e.partition.o2 if e.complemented else e.partition.o1
-            assert matched == target
-            other = e.partition.o1 if e.complemented else e.partition.o2
-            assert other == frozenset(range(n)) - target
+                base = peisert_index_set(q, e.family.variant)
+            target = {(x + e.shift) % n for x in base}
+            assert e.partition.classes(n) == \
+                (sorted(target), sorted(set(range(n)) - target)), (q, e)
 
 
 def test_lemma_case_matches_family_kind():
@@ -159,10 +164,9 @@ def test_partitions_invariant_under_witness_subgroups():
     for p, r in [(3, 2), (2, 4), (7, 2)]:
         field = build_field(p, r)
         ctx = gammal1_context(field)
-        for red, gens in two_orbit_partitions_with_generators(ctx).items():
-            part = red.lift(ctx.n)
+        for part, gens in two_orbit_partitions_with_generators(ctx).items():
             classes = orbits(ctx, list(gens))
-            assert {classes[0], classes[1]} == {part.o1, part.o2}
+            assert classes == [frozenset(c) for c in part.classes(ctx.n)]
 
 
 def test_report_json_schema():

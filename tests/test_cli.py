@@ -219,13 +219,36 @@ def test_failing_verdict_still_writes_report(capsys, tmp_path, monkeypatch):
     from rank3affine.families import Unmatched
 
     monkeypatch.setattr(classify, "_match_family",
-                        lambda field, part, case: (Unmatched(), False, 0))
+                        lambda field, case: (Unmatched(), 0))
     report = tmp_path / "thm.json"
     code, _, _ = run(capsys, "verify", "--theorem", "--q", "9",
                      "--output", str(report))
     assert code == 1
     assert json.loads(report.read_text())["unmatched_total"] == 3
     assert list(tmp_path.iterdir()) == [report]
+
+
+def assert_output_not_writable(capsys, target):
+    code, out, err = run(capsys, "verify", "--lemma", "--n-max", "5",
+                         "--output", str(target))
+    assert code == 2 and out == ""
+    assert f"OutputNotWritable: cannot write {target}:" in err
+    assert "Traceback" not in err and ".tmp" not in err
+
+
+def test_output_in_missing_directory_is_usage_error(capsys, tmp_path):
+    assert_output_not_writable(capsys, tmp_path / "missing" / "x.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_onto_directory_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "dir"
+    target.mkdir()
+    (target / "keep").write_text("kept\n")
+    assert_output_not_writable(capsys, target)
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == [target / "keep"]
+    assert (target / "keep").read_text() == "kept\n"
 
 
 def test_report_file_mode_matches_plain_open(capsys, tmp_path):

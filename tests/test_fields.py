@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from rank3affine.errors import (CapExceeded, DegreeOutOfRange, FieldMismatch,
-                                LogOfZero, NotPrime)
+from rank3affine.errors import CapExceeded, DegreeOutOfRange, LogOfZero, NotPrime
 from rank3affine.fields import build_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (2, 6)]
@@ -189,27 +188,6 @@ def test_squares_are_even_dlogs():
         squares = {f.mul(x, x) for x in range(1, f.q)}
         evens = {f.exp(2 * i) for i in range(f.q - 1)}
         assert squares == evens
-
-
-# ---------------------------------------------------------------------------
-# element wrapper
-# ---------------------------------------------------------------------------
-
-def test_field_element_operators():
-    f = build_field(3, 2)
-    w = f.element(f.omega)
-    assert (w * w).code == f.pow(f.omega, 2)
-    assert (w + (-w)).code == 0
-    assert (w ** 8).code == 1
-    assert w + 1 == f.element(f.add(f.omega, 1))
-    assert w.coeffs == f.coeffs(f.omega)
-
-
-def test_field_mismatch():
-    a = build_field(5, 1).element(2)
-    b = build_field(3, 2).element(2)
-    with pytest.raises(FieldMismatch):
-        _ = a + b
 
 
 def test_vadd_matches_scalar_add():

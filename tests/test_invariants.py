@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import rank3affine
 from rank3affine.errors import (BadVariant, FieldMismatch, IndexOutOfRange,
                                 ModulusOutOfRange, NotAUnit, NotPrimePower,
                                 Rank3Error)
@@ -26,6 +27,12 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in rank3affine.__all__
+               if not hasattr(rank3affine, name)]
+    assert missing == []
 
 
 def test_bad_arguments_raise_package_errors():

@@ -8,16 +8,19 @@ import oracles
 from rank3affine.errors import CapExceeded, EmptySet, MalformedPartition
 from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
-                                  OrbitPartition, Violation, _ReducedPartition,
-                                  _two_orbit_table, classify_partition,
-                                  enumerate_two_orbit_partitions, orbits, radical,
+                                  OrbitPartition, Violation, _two_orbit_table,
+                                  classify_partition, orbits, radical,
                                   two_orbit_partitions_with_generators, units,
                                   verify_lemma)
 
 
+def class_sets(part, n):
+    return [frozenset(c) for c in part.classes(n)]
+
+
 def partition_sets(ctx):
-    return {frozenset([p.o1, p.o2])
-            for p in enumerate_two_orbit_partitions(ctx)}
+    return {frozenset(class_sets(p, ctx.n))
+            for p in two_orbit_partitions_with_generators(ctx)}
 
 
 # ---------------------------------------------------------------------------
@@ -75,18 +78,6 @@ def test_context_order():
     assert AffineActionContext(4, 1).m_ord == 1
 
 
-def test_compose_and_inverse():
-    rng = random.Random(5)
-    for n, a in [(5, 2), (8, 3), (12, 7), (15, 2)]:
-        ctx = AffineActionContext(n, a)
-        for _ in range(50):
-            g = AffineMapZn(rng.randrange(n), rng.randrange(ctx.m_ord))
-            h = AffineMapZn(rng.randrange(n), rng.randrange(ctx.m_ord))
-            u = rng.randrange(n)
-            assert ctx.apply(ctx.compose(g, h), u) == ctx.apply(h, ctx.apply(g, u))
-            assert ctx.apply(ctx.compose(g, ctx.inverse(g)), u) == u
-
-
 def test_orbit_examples():
     ctx = AffineActionContext(5, 2)
     assert orbits(ctx, [AffineMapZn(1, 0)]) == [frozenset(range(5))]
@@ -132,32 +123,32 @@ def test_singleton_partitions_for_primitive_root():
 
 
 def test_trivial_alpha_context():
-    parts = enumerate_two_orbit_partitions(AffineActionContext(4, 1))
+    parts = two_orbit_partitions_with_generators(AffineActionContext(4, 1))
     assert len(parts) == 1
     (p,) = parts
-    assert sorted(p.o1) == [0, 2]
+    assert p.classes(4) == ([0, 2], [1, 3])
     case = classify_partition(AffineActionContext(4, 1), p)
     assert case == Case1(m=2, shift=0)
 
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
-        enumerate_two_orbit_partitions(AffineActionContext(5000, 7), cap=4096)
+        two_orbit_partitions_with_generators(AffineActionContext(5000, 7),
+                                             cap=4096)
 
 
 def test_witness_generators_reproduce_partitions():
     for n in range(2, 28):
         for a in units(n):
             ctx = AffineActionContext(n, a)
-            for red, gens in two_orbit_partitions_with_generators(ctx).items():
-                part = red.lift(n)
+            for part, gens in two_orbit_partitions_with_generators(ctx).items():
                 classes = orbits(ctx, list(gens))
                 assert len(classes) == 2
-                assert {classes[0], classes[1]} == {part.o1, part.o2}
+                assert classes == class_sets(part, n)
 
 
 def test_translation_table_closed_form_for_b_one():
-    evens = _ReducedPartition(2, frozenset({0}))
+    evens = OrbitPartition(2, frozenset({0}))
     assert _two_orbit_table(2, 1) == ((evens,), (0,))
     for k in range(4, 64, 2):
         assert _two_orbit_table(k, 1) == ((evens,), (2,))
@@ -195,45 +186,70 @@ def test_matches_pair_closure_oracle_small():
 # ---------------------------------------------------------------------------
 
 def test_orbit_partition_validation():
-    with pytest.raises(MalformedPartition):
-        OrbitPartition.from_classes(4, {0, 1}, {1, 2, 3})
-    with pytest.raises(MalformedPartition):
-        OrbitPartition.from_classes(4, {0, 1}, {2})
-    with pytest.raises(MalformedPartition):
-        OrbitPartition.from_classes(4, set(), {0, 1, 2, 3})
+    # the radical index must divide n
+    for n, m in [(4, 3), (6, 4), (5, 10), (5, 0)]:
+        with pytest.raises(MalformedPartition):
+            classify_partition(AffineActionContext(n, 1),
+                               OrbitPartition(m, frozenset({0})))
 
 
 def test_canonical_ordering():
-    p = OrbitPartition.from_classes(5, {1, 2, 3, 4}, {0})
-    assert p.o1 == frozenset({0})
-    p = OrbitPartition.from_classes(4, {2, 3}, {0, 1})
-    assert p.o1 == frozenset({0, 1})
+    # the first class leads by (size, smallest element)
+    for n in range(2, 41):
+        for a in units(n):
+            for part in two_orbit_partitions_with_generators(
+                    AffineActionContext(n, a)):
+                c1, c2 = part.classes(n)
+                assert (len(c1), c1[0]) < (len(c2), c2[0])
+
+
+def test_orbit_partition_classes_and_sort_key():
+    part = OrbitPartition(4, frozenset({0, 3}))
+    assert part.classes(8) == ([0, 3, 4, 7], [1, 2, 5, 6])
+    assert part.classes(4) == ([0, 3], [1, 2])
+    assert part.sort_key(8) == (4, 4, [0, 3])
+    singleton = OrbitPartition(5, frozenset({2}))
+    assert singleton.classes(5) == ([2], [0, 1, 3, 4])
+    assert singleton.sort_key(5) < part.sort_key(8)
 
 
 def test_classify_examples():
     ctx52 = AffineActionContext(5, 2)
-    part = OrbitPartition.from_classes(5, {0}, {1, 2, 3, 4})
+    part = OrbitPartition(5, frozenset({0}))
     assert classify_partition(ctx52, part) == Case1(m=5, shift=0)
 
     ctx43 = AffineActionContext(4, 3)
-    part = OrbitPartition.from_classes(4, {0, 1}, {2, 3})
+    part = OrbitPartition(4, frozenset({0, 1}))
     assert classify_partition(ctx43, part) == Case2(variant=1)
-    part = OrbitPartition.from_classes(4, {0, 3}, {1, 2})
+    part = OrbitPartition(4, frozenset({0, 3}))
     assert classify_partition(ctx43, part) == Case2(variant=3)
-    part = OrbitPartition.from_classes(4, {0, 2}, {1, 3})
+    part = OrbitPartition(2, frozenset({0}))
     assert classify_partition(ctx43, part) == Case1(m=2, shift=0)
+
+
+def test_classify_violations_for_inadmissible_shapes():
+    ctx = AffineActionContext(8, 3)
+    for part in [OrbitPartition(2, frozenset({0, 1})),   # prime m, two cosets
+                 OrbitPartition(4, frozenset({0})),      # m = 4, unequal halves
+                 OrbitPartition(4, frozenset({0, 2})),   # m = 4, wrong pairing
+                 OrbitPartition(8, frozenset({0, 1}))]:  # m neither prime nor 4
+        assert isinstance(classify_partition(ctx, part), Violation)
+    # the pairing needs a = -1 mod 4
+    assert isinstance(classify_partition(AffineActionContext(8, 5),
+                                         OrbitPartition(4, frozenset({0, 1}))),
+                      Violation)
 
 
 def test_classify_translated_singleton():
     ctx = AffineActionContext(5, 2)
-    part = OrbitPartition.from_classes(5, {3}, {0, 1, 2, 4})
+    part = OrbitPartition(5, frozenset({3}))
     assert classify_partition(ctx, part) == Case1(m=5, shift=3)
 
 
 def test_classify_violation_for_non_transitive_alpha():
     # {0} vs rest needs a to be a primitive root; 4 has order 2 mod 5
     ctx = AffineActionContext(5, 4)
-    part = OrbitPartition.from_classes(5, {0}, {1, 2, 3, 4})
+    part = OrbitPartition(5, frozenset({0}))
     assert isinstance(classify_partition(ctx, part), Violation)
 
 
@@ -241,16 +257,17 @@ def test_enumerated_partitions_share_radical_and_case_shapes():
     for n in range(2, 41):
         for a in units(n):
             ctx = AffineActionContext(n, a)
-            for part in enumerate_two_orbit_partitions(ctx):
-                assert radical(part.o1, n) == radical(part.o2, n) == part.m
+            for part in two_orbit_partitions_with_generators(ctx):
+                c1, c2 = part.classes(n)
+                assert radical(c1, n) == radical(c2, n) == part.m
                 case = classify_partition(ctx, part)
                 if isinstance(case, Case1):
-                    assert len(part.o1) == n // case.m
-                    assert {x % case.m for x in part.o1} == {case.shift}
+                    assert len(c1) == n // case.m
+                    assert {x % case.m for x in c1} == {case.shift}
                 else:
                     assert isinstance(case, Case2)
                     assert n % 4 == 0
-                    assert len(part.o1) == len(part.o2) == n // 2
+                    assert len(c1) == len(c2) == n // 2
 
 
 # ---------------------------------------------------------------------------
