@@ -1,20 +1,27 @@
 """Cayley graphs over the additive group of GF(q).
 
-Adjacency is x ~ y iff x - y lies in the connection set.  Rows are stored as
-dense bitmasks (arbitrary-precision ints), so common-neighbor counts are a
-word-wise AND plus popcount and the full strong-regularity check runs in
-O(v^3 / wordsize).  Graphs are immutable once built.
+There is an arc x -> y iff y - x lies in the connection set S, so a graph is
+fixed by S alone.  It is stored as the length-q indicator of S's element
+codes; no q x q matrix is ever built.  Translations are automorphisms, so
+the number of common neighbors of a pair (x, y) is the difference count
+c(y - x) = |S & (y - x + S)|, which the SRG check computes for every y with
+one vectorized field addition per element of S, in O(q |S|).  The exports
+walk the adjacency rows one at a time: row x is the indicator read at
+y - x, and each row is gathered from the previous one through one of r
+fixed permutations into a preallocated buffer, so they hold O(q) memory
+beside their output.  Graphs are immutable once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import (BadResidue, CapExceeded, ContainsZero, Directed,
-                     FieldMismatch, InfeasibleParameters, InvariantViolation,
-                     NotSymmetric, TooLarge)
+from .errors import (BadResidue, CapExceeded, Directed, FieldMismatch,
+                     InfeasibleParameters, InvariantViolation, NotSymmetric,
+                     TooLarge)
 from .families import ConnectionSet
 from .fields import FiniteField
 
@@ -23,28 +30,33 @@ ISO_VERTEX_LIMIT = 16
 
 
 class CayleyGraph:
-    """Graph on the elements of GF(q); vertex i is the element with code i."""
+    """Graph on the elements of GF(q); vertex i is the element with code i.
+
+    ``indicator`` is a read-only boolean array of length q whose entry c is
+    set iff the element with code c lies in the connection set.
+    """
 
     def __init__(self, field: FiniteField, connection: ConnectionSet,
-                 rows: list[int], directed: bool):
+                 indicator: np.ndarray, directed: bool):
         self.field = field
         self.connection = connection
         self.q = field.q
-        self.rows = rows
+        self.indicator = indicator
         self.directed = directed
 
     def adjacent(self, x: int, y: int) -> bool:
-        return bool((self.rows[x] >> y) & 1)
+        return bool(self.indicator[self.field.add(y, self.field.neg(x))])
 
     def neighbors(self, x: int) -> list[int]:
-        row = self.rows[x]
-        return [y for y in range(self.q) if (row >> y) & 1]
+        ys = np.arange(self.q)
+        return np.flatnonzero(
+            self.indicator[self.field.vadd(ys, self.field.neg(x))]).tolist()
 
     def degree(self, x: int) -> int:
-        return self.rows[x].bit_count()
+        return len(self.connection)
 
     def edge_count(self) -> int:
-        total = sum(r.bit_count() for r in self.rows)
+        total = self.q * len(self.connection)
         return total if self.directed else total // 2
 
     def complement(self) -> "CayleyGraph":
@@ -60,26 +72,50 @@ def build_cayley(field: FiniteField, connection: ConnectionSet,
     """Build the Cayley graph of F_q^+ with the given connection set."""
     if not field.same_field(connection.field):
         raise FieldMismatch("connection set belongs to a different field")
-    codes = connection.element_codes()
-    if 0 in codes:
-        raise ContainsZero("connection set contains zero (would create loops)")
     symmetric = connection.is_symmetric()
     if not symmetric and not allow_directed:
         raise NotSymmetric(
             "connection set is not closed under negation; the graph would be "
             "directed (q = 3 mod 4 squares, for instance)")
-    q = field.q
-    adj = np.zeros((q, q), dtype=bool)
-    xs = np.arange(q)
-    for s in codes:
-        adj[xs, field.vadd(xs, s)] = True
-    rows = [int.from_bytes(np.packbits(adj[x], bitorder="little").tobytes(),
-                           "little") for x in range(q)]
-    deg = len(codes)
-    if any(r.bit_count() != deg for r in rows):
+    indicator = np.zeros(field.q, dtype=bool)
+    indicator[[field.exp(i) for i in connection.indices]] = True
+    distinct = np.count_nonzero(indicator)
+    if distinct != len(connection):
         raise InvariantViolation(
-            f"a Cayley graph row has degree other than |S| = {deg}")
-    return CayleyGraph(field, connection, rows, directed=not symmetric)
+            f"the {len(connection)} dlog indices of the connection set map to "
+            f"{distinct} distinct elements of GF({field.q})")
+    indicator.flags.writeable = False
+    return CayleyGraph(field, connection, indicator, directed=not symmetric)
+
+
+def _rows(g: CayleyGraph) -> Iterator[np.ndarray]:
+    """Yield row x of the adjacency, the indicator read at y - x for every
+    y, for x = 0, 1, ..., q - 1.
+
+    In code order x = (x - 1) + e_0 + ... + e_t, where e_i has code p^i and
+    t is the number of trailing zero base-p digits of x, so row x is row
+    x - 1 read at y - (e_0 + ... + e_t).  The r permutations are built once
+    and every row is gathered into one of two preallocated buffers, so a
+    caller must use each row before taking the next but one.
+    """
+    field, p = g.field, g.field.p
+    ys = np.arange(g.q)
+    steps = []
+    e = 0
+    for t in range(field.r):
+        e = field.add(e, p ** t)
+        steps.append(field.vadd(ys, field.neg(e)))
+    row, spare = g.indicator.copy(), np.empty_like(g.indicator)
+    yield row
+    for x in range(1, g.q):
+        t, rest = 0, x
+        while rest % p == 0:
+            rest //= p
+            t += 1
+        # the indices are in range; mode="raise" would copy through a buffer
+        np.take(row, steps[t], out=spare, mode="clip")
+        row, spare = spare, row
+        yield row
 
 
 # ---------------------------------------------------------------------------
@@ -113,40 +149,36 @@ class NotStronglyRegular:
 
 
 def srg_params(g: CayleyGraph, cap: int = DEFAULT_SRG_CAP) -> SrgParams | NotStronglyRegular:
-    """Exact (v, k, lambda, mu) by counting common neighbors of every pair.
+    """Exact (v, k, lambda, mu) from the difference counts of the connection
+    set.
 
-    Returns NotStronglyRegular with a witness pair when the counts are not
-    uniform.  Any graph or its complement is connected, so the usual
-    non-degeneracy precondition needs no explicit check.
+    The pair (x, y) shares c(y - x) neighbors, where c(y) counts the s in S
+    with y + s in S, and is adjacent iff y - x lies in S.  Every difference
+    occurs in the pairs (0, y), so scanning y upward finds the same first
+    non-uniform pair as a row-by-row scan of all pairs; it is returned as
+    the NotStronglyRegular witness.  Any graph or its complement is
+    connected, so the usual non-degeneracy precondition needs no explicit
+    check.
     """
     if g.directed:
         raise Directed("strong regularity is defined for undirected graphs")
     if g.q > cap:
         raise CapExceeded(f"q = {g.q} exceeds the SRG check cap {cap}")
-    v = g.q
-    rows = g.rows
-    k = rows[0].bit_count()
-    for x in range(v):
-        if rows[x].bit_count() != k:
-            return NotStronglyRegular((0, x), "graph is not regular")
-    lam = mu = None
-    for x in range(v):
-        rx = rows[x]
-        for y in range(x + 1, v):
-            c = (rx & rows[y]).bit_count()
-            if (rx >> y) & 1:
-                if lam is None:
-                    lam = c
-                elif c != lam:
-                    return NotStronglyRegular(
-                        (x, y), f"adjacent pair shares {c} neighbors, expected {lam}")
-            else:
-                if mu is None:
-                    mu = c
-                elif c != mu:
-                    return NotStronglyRegular(
-                        (x, y), f"non-adjacent pair shares {c} neighbors, expected {mu}")
-    return SrgParams(v, k, lam or 0, mu or 0)
+    v, ind = g.q, g.indicator
+    ys = np.arange(v)
+    counts = np.zeros(v, dtype=np.int64)
+    for s in np.flatnonzero(ind).tolist():
+        counts += ind[g.field.vadd(ys, s)]
+    expected: dict[bool, int] = {}
+    for y, (adj, c) in enumerate(zip(ind[1:].tolist(), counts[1:].tolist()),
+                                 start=1):
+        want = expected.setdefault(adj, c)
+        if c != want:
+            kind = "adjacent" if adj else "non-adjacent"
+            return NotStronglyRegular(
+                (0, y), f"{kind} pair shares {c} neighbors, expected {want}")
+    return SrgParams(v, len(g.connection), expected.get(True, 0),
+                     expected.get(False, 0))
 
 
 def paley_parameter_formula(q: int) -> SrgParams:
@@ -168,11 +200,12 @@ def is_isomorphic_small(g1: CayleyGraph, g2: CayleyGraph) -> bool:
     if g1.q != g2.q:
         return False
     n = g1.q
-    deg1 = [r.bit_count() for r in g1.rows]
-    deg2 = [r.bit_count() for r in g2.rows]
+    rows1, rows2 = ([sum(1 << y for y in g.neighbors(x)) for x in range(n)]
+                    for g in (g1, g2))
+    deg1 = [r.bit_count() for r in rows1]
+    deg2 = [r.bit_count() for r in rows2]
     if sorted(deg1) != sorted(deg2):
         return False
-    rows1, rows2 = g1.rows, g2.rows
     order = sorted(range(n), key=lambda u: -deg1[u])
     mapping = [-1] * n
     used = [False] * n
@@ -214,24 +247,33 @@ def export_graph6(g: CayleyGraph) -> bytes:
                       63 + (v & 63)])
     else:
         raise TooLarge(f"graph6 long form supports at most 258047 vertices")
-    out = bytearray()
-    acc = nbits = 0
-    for j in range(1, v):
-        for i in range(j):
-            acc = (acc << 1) | ((g.rows[i] >> j) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + acc)
-                acc = nbits = 0
-    if nbits:
-        out.append(63 + (acc << (6 - nbits)))
-    return head + bytes(out)
+    body = np.empty((v * (v - 1) // 2 + 5) // 6, dtype=np.uint8)
+    # fewer than 6 bits carried over, then column j of the upper triangle
+    bits = np.zeros(v + 5, dtype=bool)
+    held = written = 0
+    for j, row in enumerate(_rows(g)):
+        # bit (i, j) is 1_S(j - i), which is row j at i because S = -S
+        bits[held:held + j] = row[:j]
+        held += j
+        whole = held - held % 6
+        groups = np.packbits(bits[:whole].reshape(-1, 6), axis=1)
+        body[written:written + whole // 6] = groups[:, 0]
+        written += whole // 6
+        bits[:held - whole] = bits[whole:held]
+        held -= whole
+    if held:
+        bits[held:6] = False
+        body[written] = np.packbits(bits[:6])[0]
+    # packbits fills the top six bits of each byte
+    body >>= 2
+    body += 63
+    return head + body.tobytes()
 
 
 def export_edge_list(g: CayleyGraph) -> str:
     """One \"u v\" line per edge, u < v, ascending."""
     if g.directed:
         raise Directed("edge-list export covers undirected graphs")
-    lines = [f"{i} {j}" for i in range(g.q) for j in range(i + 1, g.q)
-             if (g.rows[i] >> j) & 1]
+    lines = [f"{x} {y}" for x, row in enumerate(_rows(g))
+             for y in (np.flatnonzero(row[x + 1:]) + x + 1).tolist()]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -3,11 +3,16 @@
 These deliberately avoid the code paths they validate: strong regularity is
 counted with a plain triple loop, two-orbit partitions come from closing
 every unordered pair of group elements, and the graph6 decoder is written
-from the format description rather than by inverting the encoder.
+from the format description rather than by inverting the encoder.  The
+dense bitrow graph code (a q x q matrix, a pair scan and a bit-loop graph6
+writer) is kept as the reference for the connection-set graph code.
 """
 
 from math import gcd
 
+import numpy as np
+
+from rank3affine.graphs import NotStronglyRegular, SrgParams
 from rank3affine.znaction import AffineMapZn, OrbitPartition, divisors, radical
 
 
@@ -136,6 +141,74 @@ def decode_graph6(data):
                 edges.add(frozenset((i, j)))
             pos += 1
     return v, edges
+
+
+# ---------------------------------------------------------------------------
+# dense bitrow Cayley graphs
+# ---------------------------------------------------------------------------
+
+def bitrows(field, connection):
+    """Row x of the Cayley graph as an int whose bit y is set iff y - x lies
+    in the connection set, read off a dense q x q boolean matrix."""
+    q = field.q
+    adj = np.zeros((q, q), dtype=bool)
+    xs = np.arange(q)
+    for s in connection.element_codes():
+        adj[xs, field.vadd(xs, s)] = True
+    return [int.from_bytes(np.packbits(adj[x], bitorder="little").tobytes(),
+                           "little") for x in range(q)]
+
+
+def bitrow_srg_params(rows):
+    """SrgParams, or NotStronglyRegular at the first pair (x, y), x < y in
+    row order, whose common-neighbor count differs from the first count
+    seen for its kind of pair (adjacent or not)."""
+    v = len(rows)
+    k = rows[0].bit_count()
+    for x in range(v):
+        if rows[x].bit_count() != k:
+            return NotStronglyRegular((0, x), "graph is not regular")
+    lam = mu = None
+    for x in range(v):
+        rx = rows[x]
+        for y in range(x + 1, v):
+            c = (rx & rows[y]).bit_count()
+            if (rx >> y) & 1:
+                if lam is None:
+                    lam = c
+                elif c != lam:
+                    return NotStronglyRegular(
+                        (x, y), f"adjacent pair shares {c} neighbors, expected {lam}")
+            else:
+                if mu is None:
+                    mu = c
+                elif c != mu:
+                    return NotStronglyRegular(
+                        (x, y), f"non-adjacent pair shares {c} neighbors, expected {mu}")
+    return SrgParams(v, k, lam or 0, mu or 0)
+
+
+def loop_graph6(rows):
+    """graph6 bytes written one bit at a time: N(v), then the upper triangle
+    column by column in 6-bit groups offset by 63."""
+    v = len(rows)
+    if v <= 62:
+        head = bytes([v + 63])
+    else:
+        head = bytes([126, 63 + ((v >> 12) & 63), 63 + ((v >> 6) & 63),
+                      63 + (v & 63)])
+    out = bytearray()
+    acc = nbits = 0
+    for j in range(1, v):
+        for i in range(j):
+            acc = (acc << 1) | ((rows[i] >> j) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(63 + acc)
+                acc = nbits = 0
+    if nbits:
+        out.append(63 + (acc << (6 - nbits)))
+    return head + bytes(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.errors import (CapExceeded, Directed, InfeasibleParameters,
-                                NotSymmetric, TooLarge)
+                                NotSymmetric, Rank3Error, TooLarge)
 from rank3affine.families import (ConnectionSet, paley_connection_set,
                                   peisert_connection_set, vls_connection_set)
 from rank3affine.fields import build_field
@@ -242,3 +245,64 @@ def test_edge_list_matches_adjacency():
     for line in lines:
         i, j = map(int, line.split())
         assert i < j and g.adjacent(i, j)
+
+
+# ---------------------------------------------------------------------------
+# differential: connection-set graphs against the dense bitrow oracle
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def field_of_order(q):
+    return build_field(*as_prime_power(q))
+
+
+def admissible_connection_sets(f):
+    """Every Paley, vls and Peisert connection set GF(q) admits."""
+    makers = [lambda: paley_connection_set(f)]
+    makers += [lambda ell=ell: vls_connection_set(f, ell)
+               for ell in range(2, f.r + 2)]
+    makers += [lambda v=v: peisert_connection_set(f, v) for v in (1, 3)]
+    conns = []
+    for make in makers:
+        try:
+            conns.append(make())
+        except Rank3Error:
+            pass
+    return conns
+
+
+@pytest.mark.parametrize("q", prime_powers_up_to(256) + [953, 961, 1024])
+def test_family_graphs_match_bitrow_oracle(q):
+    f = field_of_order(q)
+    for conn in admissible_connection_sets(f):
+        g = build_cayley(f, conn)
+        rows = oracles.bitrows(f, conn)
+        res = srg_params(g)
+        assert isinstance(res, SrgParams)
+        assert res == oracles.bitrow_srg_params(rows)
+        assert export_graph6(g) == oracles.loop_graph6(rows)
+
+
+def symmetric_indices(f, chosen):
+    """The dlog indices chosen, closed under negation: -1 = omega^((q-1)/2)
+    in odd characteristic, and x = -x in characteristic 2."""
+    half = (f.q - 1) // 2 if f.p != 2 else 0
+    return set(chosen) | {i + half for i in chosen}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_random_symmetric_sets_match_bitrow_oracle(data):
+    q = data.draw(st.sampled_from(prime_powers_up_to(49)), label="q")
+    f = field_of_order(q)
+    reps = range((q - 1) // 2 if f.p != 2 else q - 1)
+    chosen = data.draw(st.sets(st.sampled_from(reps), min_size=1), label="S")
+    conn = ConnectionSet(f, symmetric_indices(f, chosen))
+    g = build_cayley(f, conn)
+    rows = oracles.bitrows(f, conn)
+    assert srg_params(g) == oracles.bitrow_srg_params(rows)
+    assert export_graph6(g) == oracles.loop_graph6(rows)
+    assert [sum(1 << y for y in g.neighbors(x)) for x in range(q)] == rows
+    assert export_edge_list(g) == "".join(
+        f"{x} {y}\n" for x in range(q) for y in range(x + 1, q)
+        if (rows[x] >> y) & 1)

@@ -7,8 +7,8 @@ import pytest
 
 import rank3affine
 from rank3affine.errors import (BadVariant, FieldMismatch, IndexOutOfRange,
-                                ModulusOutOfRange, NotAUnit, NotPrimePower,
-                                Rank3Error)
+                                InvariantViolation, ModulusOutOfRange,
+                                NotAUnit, NotPrimePower, Rank3Error)
 from rank3affine.classify import verify_theorem
 from rank3affine.families import (ConnectionSet, paley_connection_set,
                                   peisert_connection_set)
@@ -49,3 +49,12 @@ def test_bad_arguments_raise_package_errors():
         with pytest.raises(error) as info:
             call()
         assert isinstance(info.value, Rank3Error)
+
+
+def test_exp_table_collision_caught_by_build_cayley():
+    f = build_field(13, 1)
+    conn = ConnectionSet(f, {0, 1, 6, 7})
+    assert build_cayley(f, conn).indicator.sum() == 4
+    f._exp[1] = f._exp[0]
+    with pytest.raises(InvariantViolation):
+        build_cayley(f, conn)
