@@ -4,6 +4,7 @@ Elements are represented by integer codes in [0, q): the code of an element
 with polynomial coefficients (c0, ..., c_{r-1}) (low degree first) is
 sum(c_i * p**i).  Multiplication of nonzero elements goes through exp/log
 tables keyed to a fixed primitive element omega, so dlog is a table lookup.
+The module is pure Python.
 
 Construction is fully deterministic: the modulus is the lexicographically
 first monic irreducible polynomial of degree r over GF(p), and omega is the
@@ -19,9 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
-from .errors import CapExceeded, DegreeOutOfRange, LogOfZero, NotAUnit, NotPrime
+from .errors import (CapExceeded, DegreeOutOfRange, InvariantViolation,
+                     LogOfZero, NotAUnit, NotPrime)
 
 DEFAULT_FIELD_CAP = 2 ** 20
 
@@ -115,7 +115,8 @@ def _find_modulus(p: int, r: int) -> tuple[int, ...]:
         poly = (*tail, 1)
         if _is_irreducible(poly, p):
             return poly
-    raise AssertionError("no irreducible polynomial found")  # cannot happen
+    raise InvariantViolation(f"no monic irreducible polynomial of degree {r} "
+                             f"over GF({p})")
 
 
 class FiniteField:
@@ -136,7 +137,6 @@ class FiniteField:
         self._pow_p = tuple(p ** i for i in range(r))
         self.omega = self._find_omega()
         self._build_tables()
-        self._digit_table: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -159,7 +159,7 @@ class FiniteField:
                 continue
             if all(self._pow_coeffs(cand, e) != one for e in checks):
                 return self._encode(cand)
-        raise AssertionError("no primitive element found")  # cannot happen
+        raise InvariantViolation(f"no primitive element of GF({self.q})")
 
     def _pow_coeffs(self, base: tuple[int, ...], e: int) -> tuple[int, ...]:
         result = (1,) + (0,) * (self.r - 1)
@@ -171,20 +171,43 @@ class FiniteField:
         return result
 
     def _build_tables(self) -> None:
-        n = self.q - 1
+        """exp[i] = omega^i and its inverse log, by repeated multiplication.
+
+        x -> x * omega is GF(p)-linear: if x has digits d_j, the product's
+        digit vector is sum_j d_j * col_j mod p, where col_j holds the digits
+        of omega * X^j.  Each digit vector is packed into one integer with a
+        lane of `width` bits per digit, wide enough for a lane sum of r
+        products below p^2, so a step is r multiply-adds on packed integers
+        and r lane reductions mod p.  `acc` holds the unreduced lanes of the
+        current power.
+        """
+        p, r, n = self.p, self.r, self.q - 1
+        width = (r * (p - 1) ** 2).bit_length()
+        lane = (1 << width) - 1
         omega_coeffs = self._decode(self.omega)
+        steps = []
+        for j, weight in enumerate(self._pow_p):
+            x_j = tuple(int(i == j) for i in range(r))
+            col = _poly_mul_mod(x_j, omega_coeffs, self.modulus, p)
+            steps.append((width * j, weight,
+                          sum(c << (width * i) for i, c in enumerate(col))))
         exp_table = [0] * n
         log_table = [-1] * self.q
-        x = (1,) + (0,) * (self.r - 1)
+        acc = 1
         for i in range(n):
-            code = self._encode(x)
+            code = nxt = 0
+            for shift, weight, col in steps:
+                d = (acc >> shift & lane) % p
+                code += d * weight
+                nxt += d * col
             if log_table[code] != -1:
-                raise AssertionError(f"omega has order {i} < {n}")
+                raise InvariantViolation(f"omega has order {i} < {n}")
             exp_table[i] = code
             log_table[code] = i
-            x = _poly_mul_mod(x, omega_coeffs, self.modulus, self.p)
-        if self._encode(x) != 1:
-            raise AssertionError("omega^(q-1) != 1")
+            acc = nxt
+        if sum((acc >> shift & lane) % p * weight
+               for shift, weight, _ in steps) != 1:
+            raise InvariantViolation("omega^(q-1) != 1")
         self._exp = exp_table
         self._log = log_table
 
@@ -243,23 +266,6 @@ class FiniteField:
 
     def exp(self, i: int) -> int:
         return self._exp[i % (self.q - 1)]
-
-    def vadd(self, xs: np.ndarray, y: int) -> np.ndarray:
-        """Vectorized add of a constant to an array of element codes."""
-        if self.p == 2:
-            return xs ^ y
-        if self.r == 1:
-            return (xs + y) % self.p
-        if self._digit_table is None:
-            # lazy cache; a concurrent first call would only rebuild the
-            # same deterministic array
-            codes = np.arange(self.q)
-            digits = np.empty((self.q, self.r), dtype=np.int64)
-            for i in range(self.r):
-                codes, digits[:, i] = np.divmod(codes, self.p)
-            self._digit_table = digits
-        d = (self._digit_table[xs] + self._digit_table[y]) % self.p
-        return d @ np.asarray(self._pow_p, dtype=np.int64)
 
     # -- misc ----------------------------------------------------------------
 

@@ -5,25 +5,31 @@ fixed by S alone.  It is stored as the length-q indicator of S's element
 codes; no q x q matrix is ever built.  Translations are automorphisms, so
 the number of common neighbors of a pair (x, y) is the difference count
 c(y - x) = |S & (y - x + S)|, which the SRG check computes for every y with
-one vectorized field addition per element of S, in O(q |S|).  The exports
+one vectorized translation per element of S, in O(q |S|).  The exports
 walk the adjacency rows one at a time: row x is the indicator read at
 y - x, and each row is gathered from the previous one through one of r
 fixed permutations into a preallocated buffer, so they hold O(q) memory
 beside their output.  Graphs are immutable once built.
+
+This is the only module that uses numpy, and it imports numpy inside the
+functions that build or read a graph, so verification and classification,
+which never build a graph, run without loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import (BadResidue, CapExceeded, Directed, FieldMismatch,
                      InfeasibleParameters, InvariantViolation, NotSymmetric,
                      TooLarge)
 from .families import ConnectionSet
 from .fields import FiniteField
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SRG_CAP = 1024
 ISO_VERTEX_LIMIT = 16
@@ -44,13 +50,17 @@ class CayleyGraph:
         self.indicator = indicator
         self.directed = directed
 
+    @cached_property
+    def _translate(self) -> Callable[[int], np.ndarray]:
+        return _translation(self.field)
+
     def adjacent(self, x: int, y: int) -> bool:
         return bool(self.indicator[self.field.add(y, self.field.neg(x))])
 
     def neighbors(self, x: int) -> list[int]:
-        ys = np.arange(self.q)
+        import numpy as np
         return np.flatnonzero(
-            self.indicator[self.field.vadd(ys, self.field.neg(x))]).tolist()
+            self.indicator[self._translate(self.field.neg(x))]).tolist()
 
     def degree(self, x: int) -> int:
         return len(self.connection)
@@ -67,9 +77,41 @@ class CayleyGraph:
         return f"CayleyGraph(q={self.q}, degree={self.degree(0)})"
 
 
+def _translation(field: FiniteField) -> Callable[[int], np.ndarray]:
+    """The map s -> (codes of y + s for y = 0, 1, ..., q - 1).
+
+    For p = 2 addition is XOR and for r = 1 it is addition mod p.  Otherwise
+    adding s adds its code and then takes back p^(i+1) for every digit i of
+    y that carries, which is when s_i > 0 and y_i >= p - s_i; the digit
+    columns y_i are computed once, in the smallest dtype that holds p - 1.
+    """
+    import numpy as np
+    p, r = field.p, field.r
+    ys = np.arange(field.q)
+    if p == 2:
+        return lambda s: ys ^ s
+    if r == 1:
+        return lambda s: (ys + s) % p
+    columns = []
+    rest = ys
+    for _ in range(r):
+        rest, digit = np.divmod(rest, p)
+        columns.append(digit.astype(np.min_scalar_type(p - 1)))
+
+    def translate(s: int) -> np.ndarray:
+        out = ys + s
+        for i, s_i in enumerate(field.coeffs(s)):
+            if s_i:
+                out -= p ** (i + 1) * (columns[i] >= p - s_i)
+        return out
+
+    return translate
+
+
 def build_cayley(field: FiniteField, connection: ConnectionSet,
                  allow_directed: bool = False) -> CayleyGraph:
     """Build the Cayley graph of F_q^+ with the given connection set."""
+    import numpy as np
     if not field.same_field(connection.field):
         raise FieldMismatch("connection set belongs to a different field")
     symmetric = connection.is_symmetric()
@@ -98,13 +140,13 @@ def _rows(g: CayleyGraph) -> Iterator[np.ndarray]:
     and every row is gathered into one of two preallocated buffers, so a
     caller must use each row before taking the next but one.
     """
+    import numpy as np
     field, p = g.field, g.field.p
-    ys = np.arange(g.q)
     steps = []
     e = 0
     for t in range(field.r):
         e = field.add(e, p ** t)
-        steps.append(field.vadd(ys, field.neg(e)))
+        steps.append(g._translate(field.neg(e)))
     row, spare = g.indicator.copy(), np.empty_like(g.indicator)
     yield row
     for x in range(1, g.q):
@@ -164,11 +206,11 @@ def srg_params(g: CayleyGraph, cap: int = DEFAULT_SRG_CAP) -> SrgParams | NotStr
         raise Directed("strong regularity is defined for undirected graphs")
     if g.q > cap:
         raise CapExceeded(f"q = {g.q} exceeds the SRG check cap {cap}")
+    import numpy as np
     v, ind = g.q, g.indicator
-    ys = np.arange(v)
     counts = np.zeros(v, dtype=np.int64)
     for s in np.flatnonzero(ind).tolist():
-        counts += ind[g.field.vadd(ys, s)]
+        counts += ind[g._translate(s)]
     expected: dict[bool, int] = {}
     for y, (adj, c) in enumerate(zip(ind[1:].tolist(), counts[1:].tolist()),
                                  start=1):
@@ -247,6 +289,7 @@ def export_graph6(g: CayleyGraph) -> bytes:
                       63 + (v & 63)])
     else:
         raise TooLarge(f"graph6 long form supports at most 258047 vertices")
+    import numpy as np
     body = np.empty((v * (v - 1) // 2 + 5) // 6, dtype=np.uint8)
     # fewer than 6 bits carried over, then column j of the upper triangle
     bits = np.zeros(v + 5, dtype=bool)
@@ -274,6 +317,7 @@ def export_edge_list(g: CayleyGraph) -> str:
     """One \"u v\" line per edge, u < v, ascending."""
     if g.directed:
         raise Directed("edge-list export covers undirected graphs")
+    import numpy as np
     lines = [f"{x} {y}" for x, row in enumerate(_rows(g))
              for y in (np.flatnonzero(row[x + 1:]) + x + 1).tolist()]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -4,14 +4,16 @@ These deliberately avoid the code paths they validate: strong regularity is
 counted with a plain triple loop, two-orbit partitions come from closing
 every unordered pair of group elements, and the graph6 decoder is written
 from the format description rather than by inverting the encoder.  The
-dense bitrow graph code (a q x q matrix, a pair scan and a bit-loop graph6
-writer) is kept as the reference for the connection-set graph code.
+bitrow graph code (rows from scalar field additions, a pair scan and a
+bit-loop graph6 writer) is kept as the reference for the connection-set
+graph code, and the polynomial-product table loop as the reference for the
+packed field tables.
 """
 
+from itertools import product
 from math import gcd
 
-import numpy as np
-
+from rank3affine.fields import _find_modulus, _poly_mul_mod
 from rank3affine.graphs import NotStronglyRegular, SrgParams
 from rank3affine.znaction import AffineMapZn, OrbitPartition, divisors, radical
 
@@ -149,14 +151,9 @@ def decode_graph6(data):
 
 def bitrows(field, connection):
     """Row x of the Cayley graph as an int whose bit y is set iff y - x lies
-    in the connection set, read off a dense q x q boolean matrix."""
-    q = field.q
-    adj = np.zeros((q, q), dtype=bool)
-    xs = np.arange(q)
-    for s in connection.element_codes():
-        adj[xs, field.vadd(xs, s)] = True
-    return [int.from_bytes(np.packbits(adj[x], bitorder="little").tobytes(),
-                           "little") for x in range(q)]
+    in the connection set, from the scalar additions x + s."""
+    codes = connection.element_codes()
+    return [sum(1 << field.add(x, s) for s in codes) for x in range(field.q)]
 
 
 def bitrow_srg_params(rows):
@@ -293,3 +290,40 @@ def per_shift_two_orbit_partitions(ctx):
                     found[red] = (AffineMapZn(k % ctx.n, 0),
                                   AffineMapZn(t, s % ctx.m_ord))
     return found
+
+
+# ---------------------------------------------------------------------------
+# field tables: one polynomial product per power of omega
+# ---------------------------------------------------------------------------
+
+def loop_field_tables(p, r):
+    """(exp, log, descriptor) of GF(p^r) by the polynomial-product loop.
+
+    omega is the first coefficient vector, in lexicographic order, whose
+    powers reach every nonzero element before returning to 1; exp[i] is the
+    code of omega^i and log inverts it, with log[0] = -1.
+    """
+    q = p ** r
+    modulus = _find_modulus(p, r)
+    one = (1,) + (0,) * (r - 1)
+
+    def encode(coeffs):
+        return sum(c * p ** i for i, c in enumerate(coeffs))
+
+    for omega in product(range(p), repeat=r):
+        if not any(omega):
+            continue
+        exp, x = [], one
+        for _ in range(q - 1):
+            exp.append(encode(x))
+            x = _poly_mul_mod(x, omega, modulus, p)
+            if x == one:
+                break
+        if len(exp) == q - 1 and x == one:
+            break
+    log = [-1] * q
+    for i, code in enumerate(exp):
+        log[code] = i
+    descriptor = {"p": p, "r": r, "q": q, "modulus": list(modulus),
+                  "omega": list(omega)}
+    return exp, log, descriptor

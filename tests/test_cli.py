@@ -1,7 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import oracles
 from rank3affine.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -257,3 +265,29 @@ def test_report_file_mode_matches_plain_open(capsys, tmp_path):
     assert run(capsys, "verify", "--theorem", "--q", "9",
                "--output", str(report))[0] == 0
     assert report.stat().st_mode == plain.stat().st_mode
+
+
+# ---------------------------------------------------------------------------
+# numpy is loaded only to build graphs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (None, False),
+    (["verify", "--lemma", "--n-max", "5"], False),
+    (["verify", "--theorem", "--q", "9"], False),
+    (["classify", "--p", "3", "--r", "2"], False),
+    (["construct", "--family", "paley", "--p", "13", "--r", "1"], True),
+], ids=["import", "verify-lemma", "verify-theorem", "classify", "construct"])
+def test_numpy_imported_only_by_construct(argv, loads_numpy, tmp_path):
+    lines = ["import sys", "import rank3affine"]
+    if argv is not None:
+        argv = argv + ["--output", str(tmp_path / "report")]
+        lines += ["from rank3affine.cli import main",
+                  f"assert main({argv!r}) == 0"]
+    lines.append("print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(loads_numpy)]

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import oracles
+from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.errors import CapExceeded, DegreeOutOfRange, LogOfZero, NotPrime
 from rank3affine.fields import build_field
 
@@ -55,6 +57,16 @@ def test_deterministic_construction():
     f1, f2 = build_field(3, 2), build_field(3, 2)
     assert f1.descriptor() == f2.descriptor()
     assert f1._exp == f2._exp
+
+
+@pytest.mark.parametrize(
+    "q", prime_powers_up_to(1024) + [2048, 2187, 3125, 4093, 4096])
+def test_tables_match_polynomial_loop(q):
+    f = build_field(*as_prime_power(q))
+    exp, log, descriptor = oracles.loop_field_tables(f.p, f.r)
+    assert f._exp == exp
+    assert f._log == log
+    assert f.descriptor() == descriptor
 
 
 def test_descriptor_schema():
@@ -188,13 +200,3 @@ def test_squares_are_even_dlogs():
         squares = {f.mul(x, x) for x in range(1, f.q)}
         evens = {f.exp(2 * i) for i in range(f.q - 1)}
         assert squares == evens
-
-
-def test_vadd_matches_scalar_add():
-    import numpy as np
-    for p, r in [(2, 4), (3, 2), (5, 1), (3, 3)]:
-        f = build_field(p, r)
-        xs = np.arange(f.q)
-        for s in range(f.q):
-            vec = f.vadd(xs, s)
-            assert [f.add(x, s) for x in range(f.q)] == list(vec)

@@ -11,8 +11,8 @@ from rank3affine.errors import (CapExceeded, Directed, InfeasibleParameters,
 from rank3affine.families import (ConnectionSet, paley_connection_set,
                                   peisert_connection_set, vls_connection_set)
 from rank3affine.fields import build_field
-from rank3affine.graphs import (NotStronglyRegular, SrgParams, build_cayley,
-                                export_edge_list, export_graph6,
+from rank3affine.graphs import (NotStronglyRegular, SrgParams, _translation,
+                                build_cayley, export_edge_list, export_graph6,
                                 is_isomorphic_small, paley_parameter_formula,
                                 srg_params)
 
@@ -29,6 +29,14 @@ def neighbor_sets(g):
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
+
+def test_translation_matches_scalar_add():
+    for p, r in [(2, 4), (3, 2), (5, 1), (3, 3), (7, 2), (5, 3)]:
+        f = build_field(p, r)
+        translate = _translation(f)
+        for s in range(f.q):
+            assert translate(s).tolist() == [f.add(x, s) for x in range(f.q)]
+
 
 def test_gf5_squares_is_the_five_cycle():
     g = paley_graph(5, 1)

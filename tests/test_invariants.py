@@ -12,11 +12,18 @@ from rank3affine.errors import (BadVariant, FieldMismatch, IndexOutOfRange,
 from rank3affine.classify import verify_theorem
 from rank3affine.families import (ConnectionSet, paley_connection_set,
                                   peisert_connection_set)
-from rank3affine.fields import build_field
+from rank3affine.fields import FiniteField, build_field, prime_factors
 from rank3affine.graphs import build_cayley
 from rank3affine.znaction import AffineActionContext
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rank3affine"
+
+
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
 def test_no_assert_statements_in_src():
@@ -25,7 +32,7 @@ def test_no_assert_statements_in_src():
     found = [f"{path.name}:{node.lineno}"
              for path in files
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert found == []
 
 
@@ -58,3 +65,14 @@ def test_exp_table_collision_caught_by_build_cayley():
     f._exp[1] = f._exp[0]
     with pytest.raises(InvariantViolation):
         build_cayley(f, conn)
+
+
+@pytest.mark.parametrize("p, r", [(13, 1), (3, 2), (2, 4)])
+def test_non_primitive_omega_raises_invariant_violation(monkeypatch, p, r):
+    f = build_field(p, r)
+    ell = prime_factors(f.q - 1)[0]
+    # omega^ell has order (q - 1) / ell, so its powers repeat early
+    weak = f.pow(f.omega, ell)
+    monkeypatch.setattr(FiniteField, "_find_omega", lambda self: weak)
+    with pytest.raises(InvariantViolation, match="omega has order"):
+        FiniteField(p, r)
