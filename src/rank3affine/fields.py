@@ -220,19 +220,34 @@ class FiniteField:
         return self._decode(x)
 
     def add(self, x: int, y: int) -> int:
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return x ^ y
         if self.r == 1:
-            return (x + y) % self.p
-        return self._encode(tuple((a + b) % self.p
-                                  for a, b in zip(self._decode(x), self._decode(y))))
+            return (x + y) % p
+        # add the codes, then take back p^(i+1) for every digit i that carries
+        total, w = x + y, 1
+        while x and y:
+            x, a = divmod(x, p)
+            y, b = divmod(y, p)
+            w *= p
+            if a + b >= p:
+                total -= w
+        return total
 
     def neg(self, x: int) -> int:
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return x
         if self.r == 1:
-            return (-x) % self.p
-        return self._encode(tuple((-a) % self.p for a in self._decode(x)))
+            return (-x) % p
+        out, w = 0, 1
+        while x:
+            x, a = divmod(x, p)
+            if a:
+                out += (p - a) * w
+            w *= p
+        return out
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:

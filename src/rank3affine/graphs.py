@@ -1,26 +1,29 @@
 """Cayley graphs over the additive group of GF(q).
 
 There is an arc x -> y iff y - x lies in the connection set S, so a graph is
-fixed by S alone.  It is stored as the length-q indicator of S's element
-codes; no q x q matrix is ever built.  Translations are automorphisms, so
-the number of common neighbors of a pair (x, y) is the difference count
-c(y - x) = |S & (y - x + S)|, which the SRG check computes for every y with
-one vectorized translation per element of S, in O(q |S|).  The exports
-walk the adjacency rows one at a time: row x is the indicator read at
-y - x, and each row is gathered from the previous one through one of r
-fixed permutations into a preallocated buffer, so they hold O(q) memory
-beside their output.  Graphs are immutable once built.
+fixed by S alone.  It is stored as the indicator of S's element codes, one
+Python int whose bit c is set iff code c lies in S; no q x q matrix is ever
+built.  Row x of the adjacency is the translate S + x, again one int.
+Adding e_i, the element with code p^i, to every member of such a bitset
+moves the codes whose digit i is below p - 1 up by p^i and the rest down by
+(p - 1) p^i: two masks and two shifts, which is XOR for p = 2 and a rotation
+for r = 1.  Walking x in code order takes each row from the previous one
+with one such step per digit that changes.
 
-This is the only module that uses numpy, and it imports numpy inside the
-functions that build or read a graph, so verification and classification,
-which never build a graph, run without loading it.
+Translations are automorphisms, so the number of common neighbors of a pair
+(x, y) is the difference count c(y - x) = |S & (y - x + S)|, which the SRG
+check reads as the popcount of the indicator AND row y - x: O(q^2 / 64)
+word operations in all.  The exports walk the rows one at a time, so they
+hold O(q) bits beside their output.  Graphs are immutable once built.  The
+module is pure Python.
 """
 
 from __future__ import annotations
 
+from base64 import b64encode
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator
+from itertools import compress
+from typing import Iterator
 
 from .errors import (BadResidue, CapExceeded, Directed, FieldMismatch,
                      InfeasibleParameters, InvariantViolation, NotSymmetric,
@@ -28,39 +31,43 @@ from .errors import (BadResidue, CapExceeded, Directed, FieldMismatch,
 from .families import ConnectionSet
 from .fields import FiniteField
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_SRG_CAP = 1024
 ISO_VERTEX_LIMIT = 16
+
+# one byte per bit of a bitset, and back: b"\0" / b"\1" <-> b"0" / b"1"
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+# a graph6 character is a 6-bit group plus 63; base64 writes group g as the
+# g-th letter of its alphabet
+_BASE64_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
 
 
 class CayleyGraph:
     """Graph on the elements of GF(q); vertex i is the element with code i.
 
-    ``indicator`` is a read-only boolean array of length q whose entry c is
-    set iff the element with code c lies in the connection set.
+    ``indicator`` is an int whose bit c is set iff the element with code c
+    lies in the connection set.
     """
 
     def __init__(self, field: FiniteField, connection: ConnectionSet,
-                 indicator: np.ndarray, directed: bool):
+                 indicator: int, directed: bool):
         self.field = field
         self.connection = connection
         self.q = field.q
         self.indicator = indicator
         self.directed = directed
 
-    @cached_property
-    def _translate(self) -> Callable[[int], np.ndarray]:
-        return _translation(self.field)
-
     def adjacent(self, x: int, y: int) -> bool:
-        return bool(self.indicator[self.field.add(y, self.field.neg(x))])
+        return bool(self.indicator >> self.field.add(y, self.field.neg(x)) & 1)
 
     def neighbors(self, x: int) -> list[int]:
-        import numpy as np
-        return np.flatnonzero(
-            self.indicator[self._translate(self.field.neg(x))]).tolist()
+        row = self.indicator
+        for i, a in enumerate(self.field.coeffs(x)):
+            if a:
+                row = _step(row, _digit_step(self.field, i, a))
+        return _members(row)
 
     def degree(self, x: int) -> int:
         return len(self.connection)
@@ -77,41 +84,9 @@ class CayleyGraph:
         return f"CayleyGraph(q={self.q}, degree={self.degree(0)})"
 
 
-def _translation(field: FiniteField) -> Callable[[int], np.ndarray]:
-    """The map s -> (codes of y + s for y = 0, 1, ..., q - 1).
-
-    For p = 2 addition is XOR and for r = 1 it is addition mod p.  Otherwise
-    adding s adds its code and then takes back p^(i+1) for every digit i of
-    y that carries, which is when s_i > 0 and y_i >= p - s_i; the digit
-    columns y_i are computed once, in the smallest dtype that holds p - 1.
-    """
-    import numpy as np
-    p, r = field.p, field.r
-    ys = np.arange(field.q)
-    if p == 2:
-        return lambda s: ys ^ s
-    if r == 1:
-        return lambda s: (ys + s) % p
-    columns = []
-    rest = ys
-    for _ in range(r):
-        rest, digit = np.divmod(rest, p)
-        columns.append(digit.astype(np.min_scalar_type(p - 1)))
-
-    def translate(s: int) -> np.ndarray:
-        out = ys + s
-        for i, s_i in enumerate(field.coeffs(s)):
-            if s_i:
-                out -= p ** (i + 1) * (columns[i] >= p - s_i)
-        return out
-
-    return translate
-
-
 def build_cayley(field: FiniteField, connection: ConnectionSet,
                  allow_directed: bool = False) -> CayleyGraph:
     """Build the Cayley graph of F_q^+ with the given connection set."""
-    import numpy as np
     if not field.same_field(connection.field):
         raise FieldMismatch("connection set belongs to a different field")
     symmetric = connection.is_symmetric()
@@ -119,44 +94,76 @@ def build_cayley(field: FiniteField, connection: ConnectionSet,
         raise NotSymmetric(
             "connection set is not closed under negation; the graph would be "
             "directed (q = 3 mod 4 squares, for instance)")
-    indicator = np.zeros(field.q, dtype=bool)
-    indicator[[field.exp(i) for i in connection.indices]] = True
-    distinct = np.count_nonzero(indicator)
+    mark = bytearray(field.q)
+    for i in connection.indices:
+        mark[field.exp(i)] = 1
+    # int() reads the highest bit first, so code 0 goes last
+    indicator = int(mark[::-1].translate(_FLAG_DIGITS), 2)
+    distinct = indicator.bit_count()
     if distinct != len(connection):
         raise InvariantViolation(
             f"the {len(connection)} dlog indices of the connection set map to "
             f"{distinct} distinct elements of GF({field.q})")
-    indicator.flags.writeable = False
     return CayleyGraph(field, connection, indicator, directed=not symmetric)
 
 
-def _rows(g: CayleyGraph) -> Iterator[np.ndarray]:
-    """Yield row x of the adjacency, the indicator read at y - x for every
-    y, for x = 0, 1, ..., q - 1.
+# ---------------------------------------------------------------------------
+# bitsets of element codes
+# ---------------------------------------------------------------------------
 
-    In code order x = (x - 1) + e_0 + ... + e_t, where e_i has code p^i and
-    t is the number of trailing zero base-p digits of x, so row x is row
-    x - 1 read at y - (e_0 + ... + e_t).  The r permutations are built once
-    and every row is gathered into one of two preallocated buffers, so a
-    caller must use each row before taking the next but one.
+def _digit_step(field: FiniteField, i: int, a: int) -> tuple[int, int, int, int]:
+    """(low, up, high, down) such that adding a * e_i to every member of a
+    bitset b, 0 < a < p, gives ((b & low) << up) | ((b & high) >> down).
+
+    ``high`` marks the codes whose digit i is at least p - a: in every block
+    of p^(i+1) codes, the top a * p^i.  They wrap round to digit i - (p - a).
     """
-    import numpy as np
-    field, p = g.field, g.field.p
-    steps = []
-    e = 0
-    for t in range(field.r):
-        e = field.add(e, p ** t)
-        steps.append(g._translate(field.neg(e)))
-    row, spare = g.indicator.copy(), np.empty_like(g.indicator)
+    p, q = field.p, field.q
+    w = p ** i
+    full = (1 << q) - 1
+    blocks = full // ((1 << (p * w)) - 1)  # bit 0 of every block
+    high = (((1 << (a * w)) - 1) << ((p - a) * w)) * blocks
+    return full ^ high, a * w, high, (p - a) * w
+
+
+def _step(bits: int, step: tuple[int, int, int, int]) -> int:
+    low, up, high, down = step
+    return ((bits & low) << up) | ((bits & high) >> down)
+
+
+def _reversed(bits: int, q: int) -> int:
+    """The bitset with bit q - 1 - c set iff bit c of ``bits`` is."""
+    return int(format(bits, f"0{q}b")[::-1], 2)
+
+
+def _members(bits: int, lo: int = 0) -> list[int]:
+    """The set bits c >= lo of ``bits``, ascending."""
+    flags = format(bits >> lo, "b").encode()[::-1].translate(_DIGIT_FLAGS)
+    return list(compress(range(lo, lo + len(flags)), flags))
+
+
+def _rows(field: FiniteField, first: int, a: int = 1) -> Iterator[int]:
+    """Yield the bitset ``first`` translated by a * x, for x = 0, 1, ...,
+    q - 1.
+
+    With a = 1 and the indicator these are the adjacency rows S + x.  In a
+    bit-reversed bitset bit q - 1 - c stands for code c, and digit by digit
+    q - 1 - (c + x) = (q - 1 - c) - x, so a = p - 1 walks bit-reversed rows.
+    In code order x = (x - 1) + e_0 + ... + e_t, where t is the number of
+    trailing zero base-p digits of x, so each row is the previous one
+    stepped by a * e_0, ..., a * e_t.
+    """
+    p = field.p
+    steps = [_digit_step(field, i, a) for i in range(field.r)]
+    row = first
     yield row
-    for x in range(1, g.q):
-        t, rest = 0, x
-        while rest % p == 0:
+    for x in range(1, field.q):
+        rest = x
+        for step in steps:
+            row = _step(row, step)
+            if rest % p:
+                break
             rest //= p
-            t += 1
-        # the indices are in range; mode="raise" would copy through a buffer
-        np.take(row, steps[t], out=spare, mode="clip")
-        row, spare = spare, row
         yield row
 
 
@@ -195,8 +202,9 @@ def srg_params(g: CayleyGraph, cap: int = DEFAULT_SRG_CAP) -> SrgParams | NotStr
     set.
 
     The pair (x, y) shares c(y - x) neighbors, where c(y) counts the s in S
-    with y + s in S, and is adjacent iff y - x lies in S.  Every difference
-    occurs in the pairs (0, y), so scanning y upward finds the same first
+    with y + s in S (the popcount of the indicator AND row y), and is
+    adjacent iff y - x lies in S.  Every difference occurs in the pairs
+    (0, y), so scanning y upward finds the same first
     non-uniform pair as a row-by-row scan of all pairs; it is returned as
     the NotStronglyRegular witness.  Any graph or its complement is
     connected, so the usual non-degeneracy precondition needs no explicit
@@ -206,14 +214,13 @@ def srg_params(g: CayleyGraph, cap: int = DEFAULT_SRG_CAP) -> SrgParams | NotStr
         raise Directed("strong regularity is defined for undirected graphs")
     if g.q > cap:
         raise CapExceeded(f"q = {g.q} exceeds the SRG check cap {cap}")
-    import numpy as np
     v, ind = g.q, g.indicator
-    counts = np.zeros(v, dtype=np.int64)
-    for s in np.flatnonzero(ind).tolist():
-        counts += ind[g._translate(s)]
     expected: dict[bool, int] = {}
-    for y, (adj, c) in enumerate(zip(ind[1:].tolist(), counts[1:].tolist()),
-                                 start=1):
+    rows = _rows(g.field, ind)
+    next(rows)
+    for y, row in enumerate(rows, start=1):
+        adj = bool(ind >> y & 1)
+        c = (ind & row).bit_count()
         want = expected.setdefault(adj, c)
         if c != want:
             kind = "adjacent" if adj else "non-adjacent"
@@ -242,8 +249,7 @@ def is_isomorphic_small(g1: CayleyGraph, g2: CayleyGraph) -> bool:
     if g1.q != g2.q:
         return False
     n = g1.q
-    rows1, rows2 = ([sum(1 << y for y in g.neighbors(x)) for x in range(n)]
-                    for g in (g1, g2))
+    rows1, rows2 = (list(_rows(g.field, g.indicator)) for g in (g1, g2))
     deg1 = [r.bit_count() for r in rows1]
     deg2 = [r.bit_count() for r in rows2]
     if sorted(deg1) != sorted(deg2):
@@ -289,35 +295,35 @@ def export_graph6(g: CayleyGraph) -> bytes:
                       63 + (v & 63)])
     else:
         raise TooLarge(f"graph6 long form supports at most 258047 vertices")
-    import numpy as np
-    body = np.empty((v * (v - 1) // 2 + 5) // 6, dtype=np.uint8)
-    # fewer than 6 bits carried over, then column j of the upper triangle
-    bits = np.zeros(v + 5, dtype=bool)
-    held = written = 0
-    for j, row in enumerate(_rows(g)):
-        # bit (i, j) is 1_S(j - i), which is row j at i because S = -S
-        bits[held:held + j] = row[:j]
-        held += j
-        whole = held - held % 6
-        groups = np.packbits(bits[:whole].reshape(-1, 6), axis=1)
-        body[written:written + whole // 6] = groups[:, 0]
-        written += whole // 6
-        bits[:held - whole] = bits[whole:held]
-        held -= whole
-    if held:
-        bits[held:6] = False
-        body[written] = np.packbits(bits[:6])[0]
-    # packbits fills the top six bits of each byte
-    body >>= 2
-    body += 63
-    return head + body.tobytes()
+    # column j of the upper triangle is bits (0, j), ..., (j - 1, j), and bit
+    # (i, j) is 1_S(j - i), bit i of row j because S = -S; in a bit-reversed
+    # row those are the top j bits, first bit highest.  The columns go out
+    # as whole bytes, zero-padded at the end; base64 turns every 6 bits into
+    # one character, and the body keeps the first ceil(v(v-1)/12).
+    chunks = []
+    held = bits = 0
+    for j, row in enumerate(_rows(g.field, _reversed(g.indicator, v),
+                                  g.field.p - 1)):
+        held = (held << j) | (row >> (v - j))
+        bits += j
+        spare = bits % 8
+        chunks.append((held >> spare).to_bytes(bits // 8, "big"))
+        held &= (1 << spare) - 1
+        bits = spare
+    if bits:
+        chunks.append(bytes([held << (8 - bits)]))
+    body = b64encode(b"".join(chunks)).translate(_BASE64_GRAPH6)
+    return head + body[:(v * (v - 1) // 2 + 5) // 6]
 
 
 def export_edge_list(g: CayleyGraph) -> str:
     """One \"u v\" line per edge, u < v, ascending."""
     if g.directed:
         raise Directed("edge-list export covers undirected graphs")
-    import numpy as np
-    lines = [f"{x} {y}" for x, row in enumerate(_rows(g))
-             for y in (np.flatnonzero(row[x + 1:]) + x + 1).tolist()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    out = []
+    for x, row in enumerate(_rows(g.field, g.indicator)):
+        ys = _members(row, x + 1)
+        if ys:
+            head = f"{x} "
+            out.append(head + f"\n{head}".join(map(str, ys)) + "\n")
+    return "".join(out)

@@ -6,8 +6,9 @@ every unordered pair of group elements, and the graph6 decoder is written
 from the format description rather than by inverting the encoder.  The
 bitrow graph code (rows from scalar field additions, a pair scan and a
 bit-loop graph6 writer) is kept as the reference for the connection-set
-graph code, and the polynomial-product table loop as the reference for the
-packed field tables.
+graph code, the polynomial-product table loop as the reference for the
+packed field tables, and digit-vector addition as the reference for the
+carry form of field addition.
 """
 
 from itertools import product
@@ -290,6 +291,24 @@ def per_shift_two_orbit_partitions(ctx):
                     found[red] = (AffineMapZn(k % ctx.n, 0),
                                   AffineMapZn(t, s % ctx.m_ord))
     return found
+
+
+# ---------------------------------------------------------------------------
+# field addition on digit vectors
+# ---------------------------------------------------------------------------
+
+def digit_add(field, x, y):
+    """x + y by decoding both codes into base-p digits, adding them mod p
+    and re-encoding."""
+    p = field.p
+    return sum((a + b) % p * p ** i for i, (a, b) in
+               enumerate(zip(field.coeffs(x), field.coeffs(y))))
+
+
+def digit_neg(field, x):
+    """-x by negating every base-p digit mod p."""
+    p = field.p
+    return sum((-a) % p * p ** i for i, a in enumerate(field.coeffs(x)))
 
 
 # ---------------------------------------------------------------------------

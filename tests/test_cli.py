@@ -268,17 +268,27 @@ def test_report_file_mode_matches_plain_open(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# numpy is loaded only to build graphs
+# numpy is never loaded
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv, loads_numpy", [
-    (None, False),
-    (["verify", "--lemma", "--n-max", "5"], False),
-    (["verify", "--theorem", "--q", "9"], False),
-    (["classify", "--p", "3", "--r", "2"], False),
-    (["construct", "--family", "paley", "--p", "13", "--r", "1"], True),
-], ids=["import", "verify-lemma", "verify-theorem", "classify", "construct"])
-def test_numpy_imported_only_by_construct(argv, loads_numpy, tmp_path):
+CONSTRUCT_PALEY13 = ["construct", "--family", "paley", "--p", "13", "--r", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["verify", "--lemma", "--n-max", "5"],
+    ["verify", "--theorem", "--q", "9"],
+    ["classify", "--p", "3", "--r", "2"],
+    CONSTRUCT_PALEY13,
+    CONSTRUCT_PALEY13 + ["--format", "graph6"],
+    CONSTRUCT_PALEY13 + ["--format", "edges"],
+    CONSTRUCT_PALEY13 + ["--format", "text"],
+    ["construct", "--family", "vls", "--p", "7", "--r", "1", "--ell", "2",
+     "--allow-directed"],
+], ids=["import", "verify-lemma", "verify-theorem", "classify", "construct",
+        "construct-graph6", "construct-edges", "construct-text",
+        "construct-arcs"])
+def test_numpy_never_imported(argv, tmp_path):
     lines = ["import sys", "import rank3affine"]
     if argv is not None:
         argv = argv + ["--output", str(tmp_path / "report")]
@@ -290,4 +300,4 @@ def test_numpy_imported_only_by_construct(argv, loads_numpy, tmp_path):
     done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(loads_numpy)]
+    assert done.stdout.split() == ["False"]

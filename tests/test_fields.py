@@ -97,6 +97,15 @@ def test_ring_axioms_exhaustive(p, r):
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
 
 
+@pytest.mark.parametrize("p, r", [(3, 2), (3, 3), (7, 2), (5, 3)])
+def test_add_and_neg_match_digit_vectors(p, r):
+    f = build_field(p, r)
+    for x in f.elements():
+        assert f.neg(x) == oracles.digit_neg(f, x)
+        for y in f.elements():
+            assert f.add(x, y) == oracles.digit_add(f, x, y)
+
+
 def test_gf9_exponent_addition():
     f = build_field(3, 2)
     assert f.mul(f.exp(3), f.exp(7)) == f.exp(2)  # 3 + 7 = 10 = 2 mod 8

@@ -37,6 +37,10 @@ CONSTRUCTIONS = {
     "vls16": ["--family", "vls", "--p", "2", "--r", "4", "--ell", "3"],
     "peisert81": ["--family", "peisert", "--p", "3", "--r", "4",
                   "--variant", "3"],
+    "vls1024": ["--family", "vls", "--p", "2", "--r", "10", "--ell", "3"],
+    "peisert729": ["--family", "peisert", "--p", "3", "--r", "6",
+                   "--variant", "3"],
+    "paley53": ["--family", "paley", "--p", "53", "--r", "1"],
 }
 CONSTRUCT_DIGESTS = {
     ("paley13", "json"):
@@ -63,6 +67,12 @@ CONSTRUCT_DIGESTS = {
         "5abf072bc6d60164bb49567e111af81a7e74d5a2a288da6c344569f8426a6842",
     ("peisert81", "edges"):
         "93c61cd45ba6f92fe5a2a37f6729d862baf3f60ffcbd5e56b42e508f2ddc0de9",
+    ("vls1024", "graph6"):
+        "61f9e1d06d0539197de3bbd65fa28543fd7296fe79897fbb1212724f4bdcd222",
+    ("peisert729", "graph6"):
+        "c2f3b3a63eb773d90fff44cbb56df6d9b8c1b014c72b85a6d2ed09573af6ac3d",
+    ("paley53", "edges"):
+        "e5ad75404d8e19b693719c10c3e8a0b6b97bb745ea5b63ccbc2ec2ca1a0de725",
 }
 for (name, fmt), digest in CONSTRUCT_DIGESTS.items():
     GOLDEN[f"construct-{name}-{fmt}"] = (

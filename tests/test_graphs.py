@@ -11,7 +11,8 @@ from rank3affine.errors import (CapExceeded, Directed, InfeasibleParameters,
 from rank3affine.families import (ConnectionSet, paley_connection_set,
                                   peisert_connection_set, vls_connection_set)
 from rank3affine.fields import build_field
-from rank3affine.graphs import (NotStronglyRegular, SrgParams, _translation,
+from rank3affine.graphs import (NotStronglyRegular, SrgParams, _digit_step,
+                                _reversed, _step,
                                 build_cayley, export_edge_list, export_graph6,
                                 is_isomorphic_small, paley_parameter_formula,
                                 srg_params)
@@ -30,12 +31,27 @@ def neighbor_sets(g):
 # construction
 # ---------------------------------------------------------------------------
 
-def test_translation_matches_scalar_add():
+def bitset(codes):
+    return sum(1 << c for c in codes)
+
+
+def test_digit_steps_match_scalar_add():
+    rng = random.Random(5)
     for p, r in [(2, 4), (3, 2), (5, 1), (3, 3), (7, 2), (5, 3)]:
         f = build_field(p, r)
-        translate = _translation(f)
-        for s in range(f.q):
-            assert translate(s).tolist() == [f.add(x, s) for x in range(f.q)]
+        for _ in range(20):
+            codes = rng.sample(range(f.q), rng.randrange(f.q + 1))
+            forward, backward = bitset(codes), _reversed(bitset(codes), f.q)
+            for i in range(r):
+                e = p ** i
+                moved = bitset(f.add(c, e) for c in codes)
+                assert _step(forward, _digit_step(f, i, 1)) == moved
+                # bit q - 1 - c stands for code c: moving it by -e adds e
+                assert (_step(backward, _digit_step(f, i, p - 1))
+                        == _reversed(moved, f.q))
+                a = rng.randrange(1, p)
+                assert _step(forward, _digit_step(f, i, a)) == bitset(
+                    f.add(c, a * e) for c in codes)
 
 
 def test_gf5_squares_is_the_five_cycle():
@@ -279,7 +295,9 @@ def admissible_connection_sets(f):
     return conns
 
 
-@pytest.mark.parametrize("q", prime_powers_up_to(256) + [953, 961, 1024])
+# r = 1, p = 2, and odd p with r = 2, 4, 6: every (p, r) shape of construct
+@pytest.mark.parametrize("q", prime_powers_up_to(256)
+                         + [625, 729, 841, 953, 961, 1024])
 def test_family_graphs_match_bitrow_oracle(q):
     f = field_of_order(q)
     for conn in admissible_connection_sets(f):
