@@ -10,13 +10,12 @@ of GammaL(1, q).
 from .classify import (ClassificationReport, ClassifiedPartition, classify_field,
                        gammal1_context, prime_powers_up_to, verify_theorem)
 from .families import (ConnectionSet, GeneralizedPaley, Paley, Peisert, Unmatched,
-                       coarsenings_of_quartic_partition, latin_square_tag,
-                       paley_connection_set, peisert_connection_set,
-                       vls_connection_set)
+                       latin_square_tag, paley_connection_set,
+                       peisert_connection_set, vls_connection_set)
 from .fields import FiniteField, build_field
 from .graphs import (CayleyGraph, NotStronglyRegular, SrgParams, build_cayley,
-                     export_edge_list, export_graph6, is_isomorphic_small,
-                     paley_parameter_formula, srg_params)
+                     export_edge_list, export_graph6, paley_parameter_formula,
+                     srg_params)
 from .znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
                        OrbitPartition, Violation, classify_partition, orbits,
                        radical, two_orbit_partitions_with_generators,
@@ -31,8 +30,7 @@ __all__ = [
     "FiniteField", "GeneralizedPaley", "NotStronglyRegular", "OrbitPartition",
     "Paley", "Peisert", "SrgParams", "Unmatched", "Violation",
     "build_cayley", "build_field", "classify_field", "classify_partition",
-    "coarsenings_of_quartic_partition", "errors", "export_edge_list",
-    "export_graph6", "gammal1_context", "is_isomorphic_small",
+    "errors", "export_edge_list", "export_graph6", "gammal1_context",
     "latin_square_tag", "orbits", "paley_connection_set",
     "paley_parameter_formula", "peisert_connection_set", "prime_powers_up_to",
     "radical", "srg_params", "two_orbit_partitions_with_generators",

@@ -15,7 +15,8 @@ import tempfile
 
 from .classify import (DEFAULT_Q_CAP, classify_field, prime_powers_up_to,
                        verify_theorem)
-from .errors import CapExceeded, OutputNotWritable, Rank3Error
+from .errors import (CapExceeded, ModulusOutOfRange, OutputNotWritable,
+                     Rank3Error)
 from .families import (label_to_json, paley_connection_set,
                        peisert_connection_set, vls_connection_set)
 from .fields import DEFAULT_FIELD_CAP, build_field
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--theorem", action="store_true",
                    help="check all prime powers up to --q-max")
     v.add_argument("--n-max", type=int)
-    v.add_argument("--q-max", type=int)
+    v.add_argument("--q-max", type=int, default=1024)
     v.add_argument("--q", type=int, action="append",
                    help="explicit field order (repeatable)")
     v.add_argument("--cap", type=int, default=DEFAULT_N_CAP)
@@ -204,6 +205,10 @@ def cmd_verify(args) -> int:
         if args.n_max is None:
             _note("error: --lemma requires --n-max")
             return 2
+        if args.n_max < 2:
+            raise ModulusOutOfRange(
+                f"--n-max {args.n_max} checks nothing: the lemma sweep starts "
+                f"at n = 2")
         with _out_stream(args.output) as out:
             summary = verify_lemma(args.n_max, cap=args.cap, sink=out,
                                    include_classes=args.classes)
@@ -211,7 +216,11 @@ def cmd_verify(args) -> int:
               f"{summary['partitions_checked']} partitions, "
               f"{summary['violation_count']} violations")
         return 0 if summary["violation_count"] == 0 else 1
-    qs = args.q if args.q else prime_powers_up_to(args.q_max or 1024)
+    if not args.q and args.q_max < 2:
+        raise ModulusOutOfRange(
+            f"--q-max {args.q_max} checks nothing: the theorem sweep starts "
+            f"at q = 2")
+    qs = args.q or prime_powers_up_to(args.q_max)
     with _out_stream(args.output) as out:
         summary = verify_theorem(qs, cap=args.cap, sink=out)
     _note(f"theorem: {summary['fields_checked']} fields, "

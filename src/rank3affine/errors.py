@@ -50,10 +50,6 @@ class OutputNotWritable(Rank3Error):
     """The report cannot be written at the requested path."""
 
 
-class LogOfZero(Rank3Error):
-    pass
-
-
 class EmptySet(Rank3Error):
     pass
 
@@ -78,10 +74,6 @@ class NotSymmetric(Rank3Error):
     """Connection set is not closed under negation."""
 
 
-class ContainsZero(Rank3Error):
-    pass
-
-
 class Directed(Rank3Error):
     pass
 
@@ -92,10 +84,6 @@ class TooLarge(Rank3Error):
 
 class BadResidue(Rank3Error):
     pass
-
-
-class QuarticUnavailable(Rank3Error):
-    """q - 1 is not divisible by 4."""
 
 
 class DegenerateModulus(Rank3Error):

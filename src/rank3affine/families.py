@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (BadVariant, CharCondition, ContainsZero, DegreeCondition,
-                     EmptySet, IndexOutOfRange, InvariantViolation, NotPrime,
-                     NotSymmetric, OrderCondition, QuarticUnavailable)
+from .errors import (BadVariant, CharCondition, DegreeCondition, EmptySet,
+                     IndexOutOfRange, InvariantViolation, NotPrime,
+                     NotSymmetric, OrderCondition)
 from .fields import FiniteField, is_prime, mult_order
 
 
@@ -86,17 +86,6 @@ class ConnectionSet:
         self.indices = indices
         self.label = label
 
-    @classmethod
-    def from_elements(cls, field: FiniteField, elements,
-                      label: FamilyLabel = Unmatched()) -> "ConnectionSet":
-        elements = set(elements)
-        if 0 in elements:
-            raise ContainsZero("connection set may not contain the zero element")
-        return cls(field, (field.dlog(x) for x in elements), label)
-
-    def element_codes(self) -> frozenset:
-        return frozenset(self.field.exp(i) for i in self.indices)
-
     def is_symmetric(self) -> bool:
         """Whether S = -S as field elements."""
         if self.field.p == 2:
@@ -104,10 +93,6 @@ class ConnectionSet:
         half = (self.field.q - 1) // 2
         n = self.field.q - 1
         return all((i + half) % n in self.indices for i in self.indices)
-
-    def complement(self) -> "ConnectionSet":
-        rest = frozenset(range(self.field.q - 1)) - self.indices
-        return ConnectionSet(self.field, rest, Unmatched())
 
     def sorted_indices(self) -> list[int]:
         return sorted(self.indices)
@@ -188,31 +173,3 @@ def peisert_connection_set(field: FiniteField, variant: int = 1) -> ConnectionSe
         raise InvariantViolation(
             f"Peisert set has {len(conn)} indices, not (q - 1)/2 for q = {field.q}")
     return conn
-
-
-@dataclass(frozen=True)
-class QuarticCoarsening:
-    """One of the three pairings of the quartic classes into equal halves."""
-
-    first: frozenset
-    second: frozenset
-    label: FamilyLabel
-
-
-def coarsenings_of_quartic_partition(field: FiniteField) -> list[QuarticCoarsening]:
-    """The three two-class coarsenings of {C, Cw, Cw^2, Cw^3}, C = <omega^4>.
-
-    Returned in the order Paley, Peisert variant 1, Peisert variant 3.  The
-    Paley coarsening equals the squares/non-squares split.
-    """
-    q = field.q
-    if (q - 1) % 4 != 0:
-        raise QuarticUnavailable(f"q - 1 = {q - 1} is not divisible by 4")
-    cls = [frozenset(i for i in range(q - 1) if i % 4 == j) for j in range(4)]
-    paley = QuarticCoarsening(cls[0] | cls[2], cls[1] | cls[3], Paley())
-    if paley.first != paley_index_set(q):
-        raise InvariantViolation(
-            f"classes 0 and 2 mod 4 are not the squares of GF({q})")
-    v1 = QuarticCoarsening(cls[0] | cls[1], cls[2] | cls[3], Peisert(1))
-    v3 = QuarticCoarsening(cls[0] | cls[3], cls[1] | cls[2], Peisert(3))
-    return [paley, v1, v3]

@@ -1,9 +1,9 @@
-"""Exact arithmetic in GF(p^r) with discrete-log tables.
+"""Exact arithmetic in GF(p^r) with the exp table of a primitive element.
 
 Elements are represented by integer codes in [0, q): the code of an element
 with polynomial coefficients (c0, ..., c_{r-1}) (low degree first) is
-sum(c_i * p**i).  Multiplication of nonzero elements goes through exp/log
-tables keyed to a fixed primitive element omega, so dlog is a table lookup.
+sum(c_i * p**i).  The exp table lists the codes of the powers of a fixed
+primitive element omega, so exp(i) is the element with discrete log i.
 The module is pure Python.
 
 Construction is fully deterministic: the modulus is the lexicographically
@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import (CapExceeded, DegreeOutOfRange, InvariantViolation,
-                     LogOfZero, NotAUnit, NotPrime)
+                     NotAUnit, NotPrime)
 
 DEFAULT_FIELD_CAP = 2 ** 20
 
@@ -120,7 +120,7 @@ def _find_modulus(p: int, r: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """GF(p^r) with exp/log tables keyed to a primitive element."""
+    """GF(p^r) with the exp table of a primitive element."""
 
     def __init__(self, p: int, r: int, cap: int = DEFAULT_FIELD_CAP):
         if not is_prime(p):
@@ -171,7 +171,8 @@ class FiniteField:
         return result
 
     def _build_tables(self) -> None:
-        """exp[i] = omega^i and its inverse log, by repeated multiplication.
+        """exp[i] = omega^i, by repeated multiplication; a power that
+        repeats before i = q - 1 means omega is not primitive.
 
         x -> x * omega is GF(p)-linear: if x has digits d_j, the product's
         digit vector is sum_j d_j * col_j mod p, where col_j holds the digits
@@ -192,7 +193,7 @@ class FiniteField:
             steps.append((width * j, weight,
                           sum(c << (width * i) for i, c in enumerate(col))))
         exp_table = [0] * n
-        log_table = [-1] * self.q
+        seen = bytearray(self.q)
         acc = 1
         for i in range(n):
             code = nxt = 0
@@ -200,21 +201,17 @@ class FiniteField:
                 d = (acc >> shift & lane) % p
                 code += d * weight
                 nxt += d * col
-            if log_table[code] != -1:
+            if seen[code]:
                 raise InvariantViolation(f"omega has order {i} < {n}")
             exp_table[i] = code
-            log_table[code] = i
+            seen[code] = 1
             acc = nxt
         if sum((acc >> shift & lane) % p * weight
                for shift, weight, _ in steps) != 1:
             raise InvariantViolation("omega^(q-1) != 1")
         self._exp = exp_table
-        self._log = log_table
 
     # -- element arithmetic on integer codes --------------------------------
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         return self._decode(x)
@@ -248,36 +245,6 @@ class FiniteField:
                 out += (p - a) * w
             w *= p
         return out
-
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._exp[(-self._log[x]) % (self.q - 1)]
-
-    def pow(self, x: int, e: int) -> int:
-        if x == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return self._exp[(self._log[x] * e) % (self.q - 1)]
-
-    def frobenius(self, x: int) -> int:
-        """x -> x^p; on dlog indices this is i -> p*i mod (q-1)."""
-        if x == 0:
-            return 0
-        return self._exp[(self._log[x] * self.p) % (self.q - 1)]
-
-    def dlog(self, x: int) -> int:
-        if x == 0:
-            raise LogOfZero("discrete log of zero is undefined")
-        return self._log[x]
 
     def exp(self, i: int) -> int:
         return self._exp[i % (self.q - 1)]

@@ -32,7 +32,6 @@ from .families import ConnectionSet
 from .fields import FiniteField
 
 DEFAULT_SRG_CAP = 1024
-ISO_VERTEX_LIMIT = 16
 
 # one byte per bit of a bitset, and back: b"\0" / b"\1" <-> b"0" / b"1"
 _FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -59,9 +58,6 @@ class CayleyGraph:
         self.indicator = indicator
         self.directed = directed
 
-    def adjacent(self, x: int, y: int) -> bool:
-        return bool(self.indicator >> self.field.add(y, self.field.neg(x)) & 1)
-
     def neighbors(self, x: int) -> list[int]:
         row = self.indicator
         for i, a in enumerate(self.field.coeffs(x)):
@@ -69,19 +65,8 @@ class CayleyGraph:
                 row = _step(row, _digit_step(self.field, i, a))
         return _members(row)
 
-    def degree(self, x: int) -> int:
-        return len(self.connection)
-
-    def edge_count(self) -> int:
-        total = self.q * len(self.connection)
-        return total if self.directed else total // 2
-
-    def complement(self) -> "CayleyGraph":
-        return build_cayley(self.field, self.connection.complement(),
-                            allow_directed=self.directed)
-
     def __repr__(self) -> str:
-        return f"CayleyGraph(q={self.q}, degree={self.degree(0)})"
+        return f"CayleyGraph(q={self.q}, degree={len(self.connection)})"
 
 
 def build_cayley(field: FiniteField, connection: ConnectionSet,
@@ -235,47 +220,6 @@ def paley_parameter_formula(q: int) -> SrgParams:
     if q % 4 != 1:
         raise BadResidue(f"q = {q} = {q % 4} mod 4; Paley parameters need q = 1 mod 4")
     return SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
-
-
-# ---------------------------------------------------------------------------
-# small-order isomorphism
-# ---------------------------------------------------------------------------
-
-def is_isomorphic_small(g1: CayleyGraph, g2: CayleyGraph) -> bool:
-    """Exact isomorphism test by backtracking, for graphs on <= 16 vertices."""
-    if g1.q > ISO_VERTEX_LIMIT or g2.q > ISO_VERTEX_LIMIT:
-        raise TooLarge(f"isomorphism backtracking is limited to "
-                       f"{ISO_VERTEX_LIMIT} vertices")
-    if g1.q != g2.q:
-        return False
-    n = g1.q
-    rows1, rows2 = (list(_rows(g.field, g.indicator)) for g in (g1, g2))
-    deg1 = [r.bit_count() for r in rows1]
-    deg2 = [r.bit_count() for r in rows2]
-    if sorted(deg1) != sorted(deg2):
-        return False
-    order = sorted(range(n), key=lambda u: -deg1[u])
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        u = order[i]
-        for c in range(n):
-            if used[c] or deg2[c] != deg1[u]:
-                continue
-            if all(((rows1[u] >> order[j]) & 1) == ((rows2[c] >> mapping[order[j]]) & 1)
-                   for j in range(i)):
-                mapping[u] = c
-                used[c] = True
-                if extend(i + 1):
-                    return True
-                used[c] = False
-                mapping[u] = -1
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -369,21 +369,20 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                  include_classes: bool = False) -> dict:
     """Classify every two-orbit partition for all n <= n_max and units a.
 
-    Returns a summary dict with per-context counts and the full list of
-    violations (expected empty).  When sink (a writable text stream) is
-    given, a complete JSON report is streamed to it; partition entries carry
-    the exact compact descriptors (m and shift, or variant), from which the
-    classes are reconstructible, plus the literal class arrays when
-    include_classes is set (they can be very large for prime n).
+    Returns a summary dict with the numbers of contexts and partitions
+    checked and the full list of violations (expected empty).  When sink (a
+    writable text stream) is given, a complete JSON report is streamed to
+    it; partition entries carry the exact compact descriptors (m and shift,
+    or variant), from which the classes are reconstructible, plus the
+    literal class arrays when include_classes is set (they can be very
+    large for prime n).
     """
     if n_max > cap:
         raise CapExceeded(f"n_max = {n_max} exceeds the cap {cap}")
     violations = []
-    contexts = []
-    total = 0
+    contexts = total = 0
     if sink:
         sink.write('{"n_max": %d, "contexts": [\n' % n_max)
-    first = True
     for n in range(2, n_max + 1):
         for a in units(n):
             ctx = AffineActionContext(n, a)
@@ -407,25 +406,21 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                 if include_classes:
                     entry["classes"] = list(part.classes(n))
                 entries.append(entry)
+            contexts += 1
             total += len(entries)
             if sink:
                 ctx_doc = {"n": n, "a": a, "m_ord": ctx.m_ord,
                            "partitions": entries,
                            "case1": counts[0], "case2": counts[1],
                            "violations": counts[2]}
-                sink.write(("" if first else ",\n") + json.dumps(ctx_doc))
-                first = False
-            contexts.append({"n": n, "a": a, "m_ord": ctx.m_ord,
-                             "partitions": len(entries),
-                             "case1": counts[0], "case2": counts[1],
-                             "violations": counts[2]})
+                sink.write(("" if contexts == 1 else ",\n")
+                           + json.dumps(ctx_doc))
     summary = {
         "n_max": n_max,
-        "contexts_checked": len(contexts),
+        "contexts_checked": contexts,
         "partitions_checked": total,
         "violation_count": len(violations),
         "violations": violations,
-        "contexts": contexts,
     }
     if sink:
         sink.write('\n], "partitions_checked": %d, "violation_count": %d, '

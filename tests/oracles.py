@@ -4,11 +4,13 @@ These deliberately avoid the code paths they validate: strong regularity is
 counted with a plain triple loop, two-orbit partitions come from closing
 every unordered pair of group elements, and the graph6 decoder is written
 from the format description rather than by inverting the encoder.  The
-bitrow graph code (rows from scalar field additions, a pair scan and a
-bit-loop graph6 writer) is kept as the reference for the connection-set
-graph code, the polynomial-product table loop as the reference for the
-packed field tables, and digit-vector addition as the reference for the
-carry form of field addition.
+bitrow graph code (rows from scalar field additions, a pair scan, a
+bit-loop graph6 writer and a backtracking isomorphism test) is kept as the
+reference for the connection-set graph code, the polynomial-product table
+loop as the reference for the packed field tables, and digit-vector
+addition as the reference for the carry form of field addition.  Field
+products in tests are taken on coefficient vectors, never from the exp
+table they check.
 """
 
 from itertools import product
@@ -153,7 +155,7 @@ def decode_graph6(data):
 def bitrows(field, connection):
     """Row x of the Cayley graph as an int whose bit y is set iff y - x lies
     in the connection set, from the scalar additions x + s."""
-    codes = connection.element_codes()
+    codes = {field.exp(i) for i in connection.indices}
     return [sum(1 << field.add(x, s) for s in codes) for x in range(field.q)]
 
 
@@ -184,6 +186,47 @@ def bitrow_srg_params(rows):
                     return NotStronglyRegular(
                         (x, y), f"non-adjacent pair shares {c} neighbors, expected {mu}")
     return SrgParams(v, k, lam or 0, mu or 0)
+
+
+ISO_VERTEX_LIMIT = 16
+
+
+def is_isomorphic_small(g1, g2):
+    """Exact isomorphism test of two Cayley graphs by backtracking over
+    their bitrows, for graphs on at most ISO_VERTEX_LIMIT vertices."""
+    if g1.q > ISO_VERTEX_LIMIT or g2.q > ISO_VERTEX_LIMIT:
+        raise ValueError(f"isomorphism backtracking is limited to "
+                         f"{ISO_VERTEX_LIMIT} vertices")
+    if g1.q != g2.q:
+        return False
+    n = g1.q
+    rows1, rows2 = (bitrows(g.field, g.connection) for g in (g1, g2))
+    deg1 = [r.bit_count() for r in rows1]
+    deg2 = [r.bit_count() for r in rows2]
+    if sorted(deg1) != sorted(deg2):
+        return False
+    order = sorted(range(n), key=lambda u: -deg1[u])
+    mapping = [-1] * n
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            return True
+        u = order[i]
+        for c in range(n):
+            if used[c] or deg2[c] != deg1[u]:
+                continue
+            if all(((rows1[u] >> order[j]) & 1) == ((rows2[c] >> mapping[order[j]]) & 1)
+                   for j in range(i)):
+                mapping[u] = c
+                used[c] = True
+                if extend(i + 1):
+                    return True
+                used[c] = False
+                mapping[u] = -1
+        return False
+
+    return extend(0)
 
 
 def loop_graph6(rows):
@@ -312,37 +355,56 @@ def digit_neg(field, x):
 
 
 # ---------------------------------------------------------------------------
+# field arithmetic on coefficient vectors
+# ---------------------------------------------------------------------------
+
+def _encode(p, coeffs):
+    return sum(c * p ** i for i, c in enumerate(coeffs))
+
+
+def field_mul(field, x, y):
+    """x * y: the product of the coefficient vectors modulo the field's
+    modulus."""
+    return _encode(field.p, _poly_mul_mod(field.coeffs(x), field.coeffs(y),
+                                          field.modulus, field.p))
+
+
+def field_pow(field, x, e):
+    """x^e for e >= 0 by square-and-multiply on coefficient vectors."""
+    result, base = 1, x
+    while e:
+        if e & 1:
+            result = field_mul(field, result, base)
+        base = field_mul(field, base, base)
+        e >>= 1
+    return result
+
+
+# ---------------------------------------------------------------------------
 # field tables: one polynomial product per power of omega
 # ---------------------------------------------------------------------------
 
 def loop_field_tables(p, r):
-    """(exp, log, descriptor) of GF(p^r) by the polynomial-product loop.
+    """(exp, descriptor) of GF(p^r) by the polynomial-product loop.
 
     omega is the first coefficient vector, in lexicographic order, whose
     powers reach every nonzero element before returning to 1; exp[i] is the
-    code of omega^i and log inverts it, with log[0] = -1.
+    code of omega^i.
     """
     q = p ** r
     modulus = _find_modulus(p, r)
     one = (1,) + (0,) * (r - 1)
-
-    def encode(coeffs):
-        return sum(c * p ** i for i, c in enumerate(coeffs))
-
     for omega in product(range(p), repeat=r):
         if not any(omega):
             continue
         exp, x = [], one
         for _ in range(q - 1):
-            exp.append(encode(x))
+            exp.append(_encode(p, x))
             x = _poly_mul_mod(x, omega, modulus, p)
             if x == one:
                 break
         if len(exp) == q - 1 and x == one:
             break
-    log = [-1] * q
-    for i, code in enumerate(exp):
-        log[code] = i
     descriptor = {"p": p, "r": r, "q": q, "modulus": list(modulus),
                   "omega": list(omega)}
-    return exp, log, descriptor
+    return exp, descriptor

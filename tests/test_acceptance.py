@@ -11,14 +11,13 @@ import time
 
 import oracles
 from rank3affine.classify import as_prime_power, classify_field, prime_powers_up_to
-from rank3affine.families import (ConnectionSet, GeneralizedPaley,
-                                  coarsenings_of_quartic_partition,
-                                  paley_connection_set, peisert_connection_set,
-                                  vls_connection_set)
+from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley,
+                                  Peisert, paley_connection_set,
+                                  peisert_connection_set, vls_connection_set)
 from rank3affine.fields import build_field
-from rank3affine.graphs import (build_cayley, export_graph6, is_isomorphic_small,
+from rank3affine.graphs import (build_cayley, export_graph6,
                                 paley_parameter_formula, srg_params)
-from rank3affine.znaction import (AffineActionContext,
+from rank3affine.znaction import (AffineActionContext, OrbitPartition,
                                   two_orbit_partitions_with_generators, units)
 
 
@@ -110,7 +109,8 @@ def test_criterion_5_peisert_paley_coincidence_at_9():
     paley = build_cayley(f9, paley_connection_set(f9))
     v1 = build_cayley(f9, peisert_connection_set(f9, 1))
     v3 = build_cayley(f9, peisert_connection_set(f9, 3))
-    ok = is_isomorphic_small(v1, paley) and is_isomorphic_small(v1, v3)
+    ok = (oracles.is_isomorphic_small(v1, paley)
+          and oracles.is_isomorphic_small(v1, v3))
     _report("criterion 5: Peisert(9) ~= Paley(9) and variant conjugacy", ok)
 
 
@@ -124,21 +124,25 @@ def test_criterion_6_coarsening_remark():
             continue
         checked.append(q)
         field = build_field(p, r)
-        coarsenings = coarsenings_of_quartic_partition(field)
-        firsts = {c.first for c in coarsenings}
+        # the Paley and the two Peisert pairings of the classes mod 4
+        coarsenings = {label: OrbitPartition(m, r1).classes(q - 1)
+                       for label, m, r1 in ((Paley(), 2, {0}),
+                                            (Peisert(1), 4, {0, 1}),
+                                            (Peisert(3), 4, {0, 3}))}
+        firsts = {tuple(first) for first, _ in coarsenings.values()}
         if len(firsts) != 3:
             failures.append((q, "coarsenings not pairwise distinct"))
             continue
         produced = {frozenset(frozenset(c) for c in e.partition.classes(q - 1))
                     for e in classify_field(field).entries}
-        for c in coarsenings:
-            if frozenset([c.first, c.second]) not in produced:
-                failures.append((q, f"{c.label} not produced by classify_field"))
+        for label, classes in coarsenings.items():
+            if frozenset(frozenset(c) for c in classes) not in produced:
+                failures.append((q, f"{label} not produced by classify_field"))
         expected = paley_parameter_formula(q)
-        for c in coarsenings:
-            g = build_cayley(field, ConnectionSet(field, c.first, c.label))
+        for label, (first, _) in coarsenings.items():
+            g = build_cayley(field, ConnectionSet(field, first, label))
             if srg_params(g) != expected:
-                failures.append((q, f"{c.label} is not an SRG with Paley parameters"))
+                failures.append((q, f"{label} is not an SRG with Paley parameters"))
     ok = not failures and checked == [9, 49, 81, 121, 361, 529, 729, 961]
     _report("criterion 6: three coarsenings at p = 3 mod 4, r even", ok,
             f"fields={checked}, failures={failures or 'none'}, "
@@ -153,7 +157,7 @@ def test_criterion_7_degenerate_gf4():
                  and e.family == GeneralizedPaley(ell=3, k=1)]
     graph = build_cayley(field, vls_connection_set(field, 3))
     ok = (len(singleton) == 1
-          and all(graph.degree(x) == 1 for x in range(4)))
+          and all(len(graph.neighbors(x)) == 1 for x in range(4)))
     _report("criterion 7: GF(4) singleton VLS(3,1) and 1-regular graph", ok)
 
 
@@ -162,8 +166,7 @@ def test_criterion_8_graph6_roundtrip():
     g = build_cayley(f5, paley_connection_set(f5))
     data = export_graph6(g)
     v, edges = oracles.decode_graph6(data)
-    expected = {frozenset((i, j)) for i in range(5) for j in range(i + 1, 5)
-                if g.adjacent(i, j)}
+    expected = {frozenset((x, y)) for x in range(5) for y in g.neighbors(x)}
     ok = v == 5 and edges == expected and data == b"Dhc"
     _report("criterion 8: graph6 round-trip through independent decoder", ok,
             f"encoded={data!r}")

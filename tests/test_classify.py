@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import oracles
 from rank3affine.classify import (as_prime_power, classify_field, family_key,
                                   gammal1_context, prime_powers_up_to,
                                   verify_theorem)
@@ -33,11 +34,12 @@ def test_gammal1_degenerate():
 
 
 def test_dictionary_equivariance():
-    # dlog(frobenius(x)) = p * dlog(x) mod (q - 1), exhaustively
-    for p, r in [(3, 2), (2, 4), (7, 2), (5, 2)]:
-        f = build_field(p, r)
-        for x in range(1, f.q):
-            assert f.dlog(f.frobenius(x)) == (p * f.dlog(x)) % (f.q - 1)
+    # Frobenius is i -> p * i in dlog coordinates: exp(p * i) = exp(i)^p,
+    # with the p-th power taken on coefficient vectors, not from the table
+    for q in prime_powers_up_to(256) + [729, 1024]:
+        f = build_field(*as_prime_power(q))
+        for i in range(q - 1):
+            assert f.exp(f.p * i) == oracles.field_pow(f, f.exp(i), f.p), (q, i)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,22 @@ def test_verify_requires_exactly_one_mode(capsys):
     assert run(capsys, "verify", "--lemma")[0] == 2  # missing --n-max
 
 
+VACUOUS_BOUNDS = [
+    ("--theorem", "--q-max", "0"),
+    ("--theorem", "--q-max", "1"),
+    ("--theorem", "--q-max", "-5"),
+    ("--lemma", "--n-max", "1"),
+    ("--lemma", "--n-max", "0"),
+]
+
+
+@pytest.mark.parametrize("mode, flag, value", VACUOUS_BOUNDS)
+def test_vacuous_sweep_bound_is_usage_error(capsys, mode, flag, value):
+    code, out, err = run(capsys, "verify", mode, flag, value)
+    assert code == 2 and out == ""
+    assert f"ModulusOutOfRange: {flag} {value} checks nothing" in err
+
+
 def test_verify_lemma_cap_guard(capsys):
     code, _, err = run(capsys, "verify", "--lemma", "--n-max", "1000000000")
     assert code == 2
@@ -198,6 +214,9 @@ def test_cap_failures_leave_no_report(capsys, tmp_path):
                "--output", str(f))[0] == 2
     assert run(capsys, "verify", "--lemma", "--n-max", "5", "--cap", "3",
                "--output", str(g))[0] == 2
+    for mode, flag, value in VACUOUS_BOUNDS:
+        assert run(capsys, "verify", mode, flag, value,
+                   "--output", str(f))[0] == 2
     assert list(tmp_path.iterdir()) == []
 
 

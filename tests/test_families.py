@@ -2,15 +2,20 @@ import random
 
 import pytest
 
-from rank3affine.errors import (CharCondition, ContainsZero, DegreeCondition,
-                                EmptySet, NotPrime, NotSymmetric, OrderCondition,
-                                QuarticUnavailable)
-from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley, Peisert,
-                                  coarsenings_of_quartic_partition, latin_square_tag,
-                                  mult_order, paley_connection_set, paley_index_set,
+from rank3affine.errors import (CharCondition, DegreeCondition, EmptySet,
+                                IndexOutOfRange, NotPrime, NotSymmetric,
+                                OrderCondition)
+from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley,
+                                  latin_square_tag, mult_order,
+                                  paley_connection_set, paley_index_set,
                                   peisert_connection_set, vls_connection_set)
 from rank3affine.fields import build_field
 from rank3affine.classify import prime_powers_up_to, as_prime_power
+from rank3affine.znaction import OrbitPartition
+
+
+def element_codes(c):
+    return {c.field.exp(i) for i in c.indices}
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +133,13 @@ def test_paley_gf9():
     f = build_field(3, 2)
     c = paley_connection_set(f)
     assert len(c) == 4
-    assert f.dlog(f.neg(1)) in c.indices
+    assert f.neg(1) in element_codes(c)  # -1 is a square
     assert c.label == Paley()
 
 
 def test_paley_gf13_squares():
     f = build_field(13, 1)
-    assert sorted(paley_connection_set(f).element_codes()) == [1, 3, 4, 9, 10, 12]
+    assert sorted(element_codes(paley_connection_set(f))) == [1, 3, 4, 9, 10, 12]
 
 
 def test_paley_rejects_q_3_mod_4():
@@ -196,22 +201,31 @@ def test_constructed_sets_are_symmetric():
              vls_connection_set(build_field(2, 2), 3)]
     for c in cases:
         assert c.is_symmetric()
-        codes = c.element_codes()
+        codes = element_codes(c)
         assert {c.field.neg(x) for x in codes} == codes
 
 
 # ---------------------------------------------------------------------------
-# quartic coarsenings
+# quartic coarsenings: the two-class unions of the classes mod 4, as the
+# classifier reports them
 # ---------------------------------------------------------------------------
+
+def coarsenings(n):
+    """(first, second) classes of the Paley, Peisert 1 and Peisert 3
+    coarsenings of the quartic classes of Z_n."""
+    return [tuple(frozenset(c) for c in OrbitPartition(m, r1).classes(n))
+            for m, r1 in ((2, {0}), (4, {0, 1}), (4, {0, 3}))]
+
 
 def test_coarsenings_gf9():
     f = build_field(3, 2)
-    paley, v1, v3 = coarsenings_of_quartic_partition(f)
-    assert sorted(paley.first) == [0, 2, 4, 6]
-    assert sorted(v1.first) == [0, 1, 4, 5]
-    assert sorted(v3.first) == [0, 3, 4, 7]
-    assert paley.label == Paley()
-    assert v1.label == Peisert(1) and v3.label == Peisert(3)
+    paley, v1, v3 = (first for first, _ in coarsenings(f.q - 1))
+    assert sorted(paley) == [0, 2, 4, 6]
+    assert sorted(v1) == [0, 1, 4, 5]
+    assert sorted(v3) == [0, 3, 4, 7]
+    assert paley == paley_connection_set(f).indices
+    assert v1 == peisert_connection_set(f, 1).indices
+    assert v3 == peisert_connection_set(f, 3).indices
 
 
 def test_coarsenings_cover_quartic_classes_in_equal_halves():
@@ -220,40 +234,35 @@ def test_coarsenings_cover_quartic_classes_in_equal_halves():
         n = f.q - 1
         quartic = [frozenset(i for i in range(n) if i % 4 == j) for j in range(4)]
         halves = set()
-        for co in coarsenings_of_quartic_partition(f):
-            assert len(co.first) == len(co.second) == n // 2
-            assert co.first | co.second == frozenset(range(n))
-            parts = [cl for cl in quartic if cl <= co.first]
+        for first, second in coarsenings(n):
+            assert len(first) == len(second) == n // 2
+            assert first | second == frozenset(range(n))
+            parts = [cl for cl in quartic if cl <= first]
             assert len(parts) == 2
-            halves.add(co.first)
+            halves.add(first)
         assert len(halves) == 3
 
 
 def test_coarsening_paley_matches_connection_set():
     f = build_field(13, 1)
-    paley = coarsenings_of_quartic_partition(f)[0]
-    assert paley.first == paley_connection_set(f).indices
+    paley = coarsenings(f.q - 1)[0][0]
+    assert paley == paley_connection_set(f).indices
 
 
 def test_coarsenings_invariant_under_their_subgroups():
     for p, r in [(3, 2), (7, 2), (3, 4)]:
         f = build_field(p, r)
         n = f.q - 1
-        paley, v1, v3 = coarsenings_of_quartic_partition(f)
-        for cls in (paley.first, paley.second):
+        paley, v1, v3 = coarsenings(n)
+        for cls in paley:
             assert {(i + 2) % n for i in cls} == cls
             assert {(i * p) % n for i in cls} == cls
-        for cls in (v1.first, v1.second):
+        for cls in v1:
             assert {(i + 4) % n for i in cls} == cls
             assert {(i * p + 1) % n for i in cls} == cls
-        for cls in (v3.first, v3.second):
+        for cls in v3:
             assert {(i + 4) % n for i in cls} == cls
             assert {(i * p + p) % n for i in cls} == cls
-
-
-def test_coarsenings_unavailable():
-    with pytest.raises(QuarticUnavailable):
-        coarsenings_of_quartic_partition(build_field(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +279,6 @@ def test_connection_set_validation():
     f = build_field(3, 2)
     with pytest.raises(EmptySet):
         ConnectionSet(f, [])
-    with pytest.raises(ContainsZero):
-        ConnectionSet.from_elements(f, {0, 1})
-    c = ConnectionSet.from_elements(f, {1, 2})
-    assert c.indices == {f.dlog(1), f.dlog(2)}
-    assert c.complement().indices == frozenset(range(8)) - c.indices
+    with pytest.raises(IndexOutOfRange):
+        ConnectionSet(f, [8])
+    assert ConnectionSet(f, [7, 1, 7]).sorted_indices() == [1, 7]
