@@ -129,6 +129,15 @@ def test_inverses():
 # frobenius, x -> x^p on coefficient vectors
 # ---------------------------------------------------------------------------
 
+def test_frobenius_fixes_zero_and_matches_dlog_scale():
+    # in dlog coordinates Frobenius scales the exponent by p
+    for p, r in SMALL_FIELDS:
+        f = build_field(p, r)
+        assert oracles.field_pow(f, 0, p) == 0
+        for i in range(f.q - 1):
+            assert oracles.field_pow(f, f.exp(i), p) == f.exp(p * i % (f.q - 1))
+
+
 def test_frobenius_iterated_r_times_is_identity():
     # taken in GF(p)[X]/(modulus): a modulus with a repeated factor, or a
     # factor whose degree does not divide r, breaks it
