@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--theorem", action="store_true",
                    help="check all prime powers up to --q-max")
     v.add_argument("--n-max", type=int)
-    v.add_argument("--q-max", type=int, default=1024)
+    v.add_argument("--q-max", type=int,
+                   help="sweep bound when no --q is given (default 1024)")
     v.add_argument("--q", type=int, action="append",
                    help="explicit field order (repeatable)")
     v.add_argument("--cap", type=int, default=DEFAULT_N_CAP)
@@ -202,6 +203,19 @@ def cmd_verify(args) -> int:
         _note("error: choose exactly one of --lemma / --theorem")
         return 2
     if args.lemma:
+        mode = "--lemma"
+        stray = {"--q": args.q is not None, "--q-max": args.q_max is not None}
+    else:
+        mode = "--theorem"
+        stray = {"--n-max": args.n_max is not None, "--classes": args.classes}
+    for flag, given in stray.items():
+        if given:
+            _note(f"error: {flag} does not apply to {mode}")
+            return 2
+    if args.q and args.q_max is not None:
+        _note("error: --q-max does not apply beside --q")
+        return 2
+    if args.lemma:
         if args.n_max is None:
             _note("error: --lemma requires --n-max")
             return 2
@@ -216,11 +230,12 @@ def cmd_verify(args) -> int:
               f"{summary['partitions_checked']} partitions, "
               f"{summary['violation_count']} violations")
         return 0 if summary["violation_count"] == 0 else 1
-    if not args.q and args.q_max < 2:
+    q_max = 1024 if args.q_max is None else args.q_max
+    if not args.q and q_max < 2:
         raise ModulusOutOfRange(
-            f"--q-max {args.q_max} checks nothing: the theorem sweep starts "
+            f"--q-max {q_max} checks nothing: the theorem sweep starts "
             f"at q = 2")
-    qs = args.q or prime_powers_up_to(args.q_max)
+    qs = args.q or prime_powers_up_to(q_max)
     with _out_stream(args.output) as out:
         summary = verify_theorem(qs, cap=args.cap, sink=out)
     _note(f"theorem: {summary['fields_checked']} fields, "

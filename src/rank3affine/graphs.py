@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from base64 import b64encode
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from typing import Iterator
 
@@ -63,7 +64,7 @@ class CayleyGraph:
         for i, a in enumerate(self.field.coeffs(x)):
             if a:
                 row = _step(row, _digit_step(self.field, i, a))
-        return _members(row)
+        return _members(row, self.q)
 
     def __repr__(self) -> str:
         return f"CayleyGraph(q={self.q}, degree={len(self.connection)})"
@@ -121,10 +122,16 @@ def _reversed(bits: int, q: int) -> int:
     return int(format(bits, f"0{q}b")[::-1], 2)
 
 
-def _members(bits: int, lo: int = 0) -> list[int]:
-    """The set bits c >= lo of ``bits``, ascending."""
-    flags = format(bits >> lo, "b").encode()[::-1].translate(_DIGIT_FLAGS)
-    return list(compress(range(lo, lo + len(flags)), flags))
+@lru_cache(maxsize=1)
+def _codes(q: int) -> tuple[int, ...]:
+    # one int object per code, shared by every row of the graph
+    return tuple(range(q))
+
+
+def _members(bits: int, q: int, lo: int = 0) -> list[int]:
+    """The set bits lo <= c < q of ``bits``, ascending."""
+    flags = format(bits >> lo << lo, "b").encode()[::-1].translate(_DIGIT_FLAGS)
+    return list(compress(_codes(q), flags))
 
 
 def _rows(field: FiniteField, first: int, a: int = 1) -> Iterator[int]:
@@ -266,7 +273,7 @@ def export_edge_list(g: CayleyGraph) -> str:
         raise Directed("edge-list export covers undirected graphs")
     out = []
     for x, row in enumerate(_rows(g.field, g.indicator)):
-        ys = _members(row, x + 1)
+        ys = _members(row, g.q, x + 1)
         if ys:
             head = f"{x} "
             out.append(head + f"\n{head}".join(map(str, ys)) + "\n")

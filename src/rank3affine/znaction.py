@@ -35,6 +35,14 @@ every t in it, translated.  For b = 1 the table is closed form.
 Note the partition set of a context is closed under translation: conjugating
 Y by the translation u -> u + c (an element of X) translates both orbits by
 c.  Case 1 therefore carries the coset shift c explicitly.
+
+The context depends on a only through the cyclic subgroup <a> <= Z_n^*:
+every generator a^j of <a> (gcd(j, ord a) = 1) gives the same group X, so
+the same two-orbit subgroups and partitions.  The verdicts agree as well.
+Case 1 reads the order of a mod m, which is the order of <a mod m>.  Case 2
+reads a = 3 mod 4; when 4 | n and a = 3 mod 4, ord(a) is even, so every
+generator a^j has odd j and a^j = 3 mod 4 too.  verify_lemma therefore
+enumerates and classifies once per subgroup, not once per unit.
 """
 
 from __future__ import annotations
@@ -376,6 +384,12 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     or variant), from which the classes are reconstructible, plus the
     literal class arrays when include_classes is set (they can be very
     large for prime n).
+
+    The work is done once per cyclic subgroup <a> of Z_n^*, not once per
+    unit: X = Z_n x| <alpha> depends on a only through <a>, so every
+    generator of <a> has the same partitions and the same verdicts (see the
+    module docstring).  Each unit a gets its own header and its own
+    violation entries; the encoded partitions are shared.
     """
     if n_max > cap:
         raise CapExceeded(f"n_max = {n_max} exceeds the cap {cap}")
@@ -384,37 +398,49 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     if sink:
         sink.write('{"n_max": %d, "contexts": [\n' % n_max)
     for n in range(2, n_max + 1):
+        # <a> -> (encoded tail of the context document, partition count,
+        #         [(partition, reason)] of its violations)
+        shared: dict[frozenset, tuple[str, int, list]] = {}
         for a in units(n):
             ctx = AffineActionContext(n, a)
-            found = two_orbit_partitions_with_generators(ctx, cap=cap)
-            entries = []
-            counts = [0, 0, 0]  # case1, case2, violations
-            for part in sorted(found, key=lambda part: part.sort_key(n)):
-                case = classify_partition(ctx, part)
-                entry = case_to_json(case)
-                if isinstance(case, Case1):
-                    counts[0] += 1
-                elif isinstance(case, Case2):
-                    counts[1] += 1
-                else:
-                    counts[2] += 1
-                    violations.append({
-                        "n": n, "a": a,
-                        "classes": list(part.classes(n)),
-                        "reason": case.reason,
-                    })
-                if include_classes:
-                    entry["classes"] = list(part.classes(n))
-                entries.append(entry)
+            subgroup = frozenset(ctx._a_pow)
+            if subgroup not in shared:
+                found = two_orbit_partitions_with_generators(ctx, cap=cap)
+                entries = []
+                counts = [0, 0, 0]  # case1, case2, violations
+                bad = []
+                for part in sorted(found, key=lambda part: part.sort_key(n)):
+                    case = classify_partition(ctx, part)
+                    entry = case_to_json(case)
+                    if isinstance(case, Case1):
+                        counts[0] += 1
+                    elif isinstance(case, Case2):
+                        counts[1] += 1
+                    else:
+                        counts[2] += 1
+                        bad.append((part, case.reason))
+                    if include_classes:
+                        entry["classes"] = list(part.classes(n))
+                    entries.append(entry)
+                # the document minus its opening brace: the per-unit header
+                # completes it byte for byte as json.dumps would
+                tail = json.dumps({
+                    "partitions": entries, "case1": counts[0],
+                    "case2": counts[1], "violations": counts[2]})[1:]
+                shared[subgroup] = tail, len(entries), bad
+            tail, count, bad = shared[subgroup]
+            for part, reason in bad:
+                violations.append({
+                    "n": n, "a": a,
+                    "classes": list(part.classes(n)),
+                    "reason": reason,
+                })
             contexts += 1
-            total += len(entries)
+            total += count
             if sink:
-                ctx_doc = {"n": n, "a": a, "m_ord": ctx.m_ord,
-                           "partitions": entries,
-                           "case1": counts[0], "case2": counts[1],
-                           "violations": counts[2]}
                 sink.write(("" if contexts == 1 else ",\n")
-                           + json.dumps(ctx_doc))
+                           + '{"n": %d, "a": %d, "m_ord": %d, '
+                           % (n, a, ctx.m_ord) + tail)
     summary = {
         "n_max": n_max,
         "contexts_checked": contexts,

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete.  Criteria 1 and 3 execute the installed CLI in a subprocess.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -36,14 +37,22 @@ def _cli(args, output):
     return proc, time.time() - start
 
 
+# sha256 of the n <= 200 lemma report, pinned like the golden reports
+LEMMA200_SHA256 = (
+    "4443ec58d1fc00118e4e8292c1a1f104f9da8e2e6623b4d4421f6899f178d4c4")
+
+
 def test_criterion_1_lemma_exhaustion(tmp_path):
     out = tmp_path / "lemma200.json"
     proc, elapsed = _cli(["verify", "--lemma", "--n-max", "200"], out)
-    doc = json.loads(out.read_text()) if proc.returncode == 0 else {}
+    raw = out.read_bytes() if proc.returncode == 0 else b"{}"
+    doc = json.loads(raw)
+    digest = hashlib.sha256(raw).hexdigest()
     ok = (proc.returncode == 0 and doc.get("violation_count") == 0
-          and elapsed < 120)
+          and digest == LEMMA200_SHA256 and elapsed < 120)
     _report("criterion 1: lemma exhaustion n <= 200", ok,
             f"exit={proc.returncode}, violations={doc.get('violation_count')}, "
+            f"sha256 {'pinned' if digest == LEMMA200_SHA256 else digest}, "
             f"{elapsed:.1f}s (< 120s)")
 
 

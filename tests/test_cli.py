@@ -157,6 +157,31 @@ def test_vacuous_sweep_bound_is_usage_error(capsys, mode, flag, value):
     assert f"ModulusOutOfRange: {flag} {value} checks nothing" in err
 
 
+STRAY_FLAGS = [
+    (["--lemma", "--n-max", "3", "--q", "9"], "--q does not apply to --lemma"),
+    (["--lemma", "--n-max", "3", "--q-max", "0"],
+     "--q-max does not apply to --lemma"),
+    (["--lemma", "--n-max", "3", "--q", "9", "--q-max", "0"],
+     "--q does not apply to --lemma"),
+    (["--theorem", "--q", "9", "--n-max", "0"],
+     "--n-max does not apply to --theorem"),
+    (["--theorem", "--q", "9", "--classes"],
+     "--classes does not apply to --theorem"),
+    (["--theorem", "--q-max", "16", "--n-max", "40", "--classes"],
+     "--n-max does not apply to --theorem"),
+    (["--theorem", "--q", "9", "--q-max", "16"],
+     "--q-max does not apply beside --q"),
+]
+
+
+@pytest.mark.parametrize("args, message", STRAY_FLAGS,
+                         ids=[" ".join(args) for args, _ in STRAY_FLAGS])
+def test_flag_of_the_other_mode_is_usage_error(capsys, args, message):
+    code, out, err = run(capsys, "verify", *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_lemma_cap_guard(capsys):
     code, _, err = run(capsys, "verify", "--lemma", "--n-max", "1000000000")
     assert code == 2
@@ -217,6 +242,8 @@ def test_cap_failures_leave_no_report(capsys, tmp_path):
     for mode, flag, value in VACUOUS_BOUNDS:
         assert run(capsys, "verify", mode, flag, value,
                    "--output", str(f))[0] == 2
+    for args, _ in STRAY_FLAGS:
+        assert run(capsys, "verify", *args, "--output", str(f))[0] == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,12 +1,14 @@
 import io
 import json
 import random
+from math import gcd
 
 import pytest
 
 import oracles
 from rank3affine.errors import CapExceeded, EmptySet, MalformedPartition
 from rank3affine.classify import as_prime_power, prime_powers_up_to
+import rank3affine.znaction as znaction
 from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
                                   OrbitPartition, Violation, _two_orbit_table,
                                   classify_partition, orbits, radical,
@@ -301,3 +303,61 @@ def test_verify_lemma_stream_matches_summary():
             if entry["case"] == 1:
                 m, shift = entry["m"], entry["shift"]
                 assert c1 == [x for x in range(n) if x % m == shift]
+
+
+def _verdicts(n, a):
+    ctx = AffineActionContext(n, a)
+    return {part: classify_partition(ctx, part)
+            for part in two_orbit_partitions_with_generators(ctx)}
+
+
+def test_partitions_and_verdicts_depend_only_on_the_subgroup():
+    # every generator a^j of <a> must give the same partitions and cases;
+    # this is what lets verify_lemma share one result per subgroup
+    for n in range(2, 61):
+        seen = {a: _verdicts(n, a) for a in units(n)}
+        for a in units(n):
+            order = AffineActionContext(n, a).m_ord
+            for j in range(2, order):
+                if gcd(j, order) == 1:
+                    assert seen[pow(a, j, n)] == seen[a], (n, a, j)
+    # Z_8^* is not cyclic: 3 and 5 both have order 2 but differ, so the
+    # sharing must be keyed by the subgroup, not by its order
+    assert AffineActionContext(8, 3).m_ord == AffineActionContext(8, 5).m_ord
+    assert _verdicts(8, 3).keys() != _verdicts(8, 5).keys()
+
+
+def test_verify_lemma_expands_shared_violations_per_unit(monkeypatch):
+    real = classify_partition
+
+    def inject(ctx, part):
+        if (ctx.n, part.m) == (12, 2) or (
+                ctx.n == 16 and part == OrbitPartition(4, frozenset({0, 3}))):
+            return Violation("injected")
+        return real(ctx, part)
+
+    monkeypatch.setattr(znaction, "classify_partition", inject)
+    expected = []
+    for n in (12, 16):
+        for a in units(n):
+            ctx = AffineActionContext(n, a)
+            found = two_orbit_partitions_with_generators(ctx)
+            for part in sorted(found, key=lambda part: part.sort_key(n)):
+                if isinstance(inject(ctx, part), Violation):
+                    expected.append({"n": n, "a": a,
+                                     "classes": list(part.classes(n)),
+                                     "reason": "injected"})
+    # 3 and 11 generate the same subgroup of Z_16^*, and each keeps its own a
+    assert [(v["n"], v["a"]) for v in expected] == [
+        (12, 1), (12, 5), (12, 7), (12, 11),
+        (16, 3), (16, 7), (16, 11), (16, 15)]
+    buf = io.StringIO()
+    summary = verify_lemma(16, sink=buf)
+    doc = json.loads(buf.getvalue())
+    assert summary["violations"] == doc["violations"] == expected
+    assert summary["violation_count"] == doc["violation_count"] == 8
+    assert sum(c["violations"] for c in doc["contexts"]) == 8
+    for c in doc["contexts"]:
+        bad = [e for e in c["partitions"] if e["case"] == "violation"]
+        assert len(bad) == c["violations"] == sum(
+            (v["n"], v["a"]) == (c["n"], c["a"]) for v in expected)
