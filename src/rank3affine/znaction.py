@@ -29,8 +29,12 @@ The candidates of one (k, s) depend on the context only through k and
 b = a^s mod k, so their partitions come from one table per (k, b), shared
 by every context.  Within it, u -> b*u + t and u -> b*u + t + c*(1-b) are
 conjugate under u -> u + c, so t only matters up to translation within its
-class mod gcd(b-1, k): one cycle scan per class gives the partition of
-every t in it, translated.  For b = 1 the table is closed form.
+class mod gcd(b-1, k): one cycle walk per class gives the partition of
+every t in it, translated.  Splitting the map by CRT into prime-power
+components decides without a walk whether it has two cycles: all
+components but one must be single cycles (Hull-Dobell), and the other one
+must have two.  Only the hits whose cycles swap parity are walked; the
+others, and b = 1, are closed form.
 
 Note the partition set of a context is closed under translation: conjugating
 Y by the translation u -> u + c (an element of X) translates both orbits by
@@ -42,24 +46,27 @@ the same two-orbit subgroups and partitions.  The verdicts agree as well.
 Case 1 reads the order of a mod m, which is the order of <a mod m>.  Case 2
 reads a = 3 mod 4; when 4 | n and a = 3 mod 4, ord(a) is even, so every
 generator a^j has odd j and a^j = 3 mod 4 too.  verify_lemma therefore
-enumerates and classifies once per subgroup, not once per unit.
+classifies and encodes once per subgroup, not once per unit; it still
+enumerates every unit and checks that its partitions are the subgroup's.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 
-from .errors import (CapExceeded, EmptySet, MalformedPartition,
-                     ModulusOutOfRange, NotAUnit)
-from .fields import is_prime, mult_order
+from .errors import (CapExceeded, EmptySet, InvariantViolation,
+                     MalformedPartition, ModulusOutOfRange, NotAUnit)
+from .fields import is_prime, mult_order, prime_factors
 
 DEFAULT_N_CAP = 4096
 
 
-def divisors(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def divisors(n: int) -> tuple[int, ...]:
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -68,7 +75,7 @@ def divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 def units(n: int) -> list[int]:
@@ -169,6 +176,14 @@ class OrbitPartition:
 
     m: int
     r1: frozenset
+    # the enumeration's dict lookups hash each partition several times
+    _hash: int | None = field(default=None, init=False, repr=False,
+                              compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.m, self.r1)))
+        return self._hash
 
     def classes(self, n: int) -> tuple[list[int], list[int]]:
         """The two classes of Z_n, each ascending."""
@@ -231,6 +246,12 @@ def _partition_from_mask(m: int, mask: int) -> OrbitPartition:
     return OrbitPartition(m, frozenset(residues))
 
 
+@lru_cache(maxsize=None)
+def _singletons(p: int) -> tuple[OrbitPartition, ...]:
+    # the partitions {r + pZ, rest} of a prime p, by r
+    return tuple(_partition_from_mask(p, 1 << r) for r in range(p))
+
+
 # most (k, b) have no two-cycle map; their table entries share one value
 _NO_PARTITIONS: tuple[tuple, tuple] = ((), ())
 
@@ -244,11 +265,38 @@ def _two_orbit_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
     For b = 1 the map is a translation with gcd(t, k) cycles, so only
     gcd(t, k) = 2 hits and every hit splits Z_k into evens and odds: the
     table is (m = 2, {0}) with least witness t = 2 (t = 0 when k = 2), and
-    empty for odd k.  Otherwise the maps with t and t + c*(1-b) are
-    conjugate under u -> u + c, so the second partition is the first
-    translated by c.  The shifts c*(1-b) form gcd(b-1, k) Z_k, so one cycle
-    scan per class t0 mod gcd(b-1, k) settles the whole class, and every t
-    in a hit class yields its partition by a rotation of the residue mask.
+    empty for odd k.
+
+    Otherwise split the map by CRT into its components on the prime powers
+    p^e || k.  Permutations with cycle lengths L and L' make gcd(L, L')
+    cycles of their product, so two cycles need every component but one to
+    be a single cycle, which by Hull-Dobell means p | b - 1 (4 | b - 1 when
+    4 | p^e) and p does not divide t, and the remaining one to have two
+    cycles of lengths prime to the rest of k.  No map is walked unless it
+    has two cycles:
+
+    - An odd component with p | b - 1 keeps every residue mod p fixed, so
+      it has at least p cycles.  One with p not dividing b - 1 has the
+      fixed point t / (1 - b) mod p, and the orbits of multiplication by b
+      on the rest are one only for e = 1 and b a primitive root mod p, of
+      length p - 1.  Such a (k, b), with p - 1 prime to k/p, hits for
+      exactly the t prime to k/p, and its classes are the residue class
+      t / (1 - b) mod p and the rest.
+    - On Z_(2^e) the cycle lengths are powers of 2, so two cycles have
+      2^(e-1) points each.  A map that keeps parity (e = 1, or
+      b = 1 mod 4, with t even) has them when the evens and the odds are
+      single cycles, by Hull-Dobell for t = 2 mod 4, or any even t when
+      e = 1: the classes are the evens and the odds.  (For b = 3 mod 4,
+      e > 1 and even t, Hull-Dobell never makes both single cycles.)
+      For b = 3 mod 4 and odd t the map swaps parity, so its cycles are
+      as many as those of its square on the evens, u -> b^2 u + t(b+1)
+      on 2Z_(2^e); by the parity case that is two when e = 2 or
+      b = 3 mod 8.  Those cycles are walked: the maps with t and
+      t + c*(1-b) are conjugate under u -> u + c, so the second partition
+      is the first translated by c.  The shifts c*(1-b) form
+      gcd(b-1, k) Z_k, so one walk per class t0 mod gcd(b-1, k) settles
+      the whole class, and every t in it yields its partition by a
+      rotation of the residue mask.
     """
     if k == 1:
         return _NO_PARTITIONS
@@ -257,14 +305,48 @@ def _two_orbit_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
         if k % 2:
             return _NO_PARTITIONS
         return (_partition_from_mask(2, 1),), (0 if k == 2 else 2,)
+    primes = prime_factors(k)
+    # the components that are no single cycle whatever t is
+    broken = [p for p in primes
+              if (b - 1) % p or (p == 2 and k % 4 == 0 and (b - 1) % 4)]
+    if len(broken) > 1:
+        return _NO_PARTITIONS
+    if broken and broken[0] > 2:
+        p = broken[0]
+        if (k % (p * p) == 0 or gcd(p - 1, k) > 1
+                or any(pow(b, (p - 1) // q, p) == 1
+                       for q in prime_factors(p - 1))):
+            return _NO_PARTITIONS
+        # the least t prime to k/p in each class mod p; p^2 does not divide
+        # k, so CRT puts one below k
+        shifts = []
+        for t in range(p):
+            while gcd(t, k // p) > 1:
+                t += p
+            shifts.append(t)
+        shifts.sort()
+        inv, singles = pow(1 - b, -1, p), _singletons(p)
+        return tuple(singles[t * inv % p] for t in shifts), tuple(shifts)
+    if k % 2:
+        return _NO_PARTITIONS
+    # the 2-adic component, on Z_(2^e), must be the one with two cycles
+    e = (k & -k).bit_length() - 1
+    swap = e > 1 and b % 4 == 3  # then odd t swap evens and odds
+    if swap and e > 2 and b % 8 != 3:
+        return _NO_PARTITIONS
+    modulus, residue = (2, 1) if swap else (2, 0) if e == 1 else (4, 2)
     g = gcd(b - 1, k)
+    hits = [t0 for t0 in range(residue, g, modulus)
+            if all(t0 % q for q in primes[1:])]
+    if not hits:
+        return _NO_PARTITIONS
+    if not swap:
+        return (_partition_from_mask(2, 1),), (hits[0],)
     # t = t0 + j*g is t0 + c*(1-b) for c = j * inv mod k/g
     inv = pow((1 - b) % k // g, -1, k // g)
     least: dict[tuple[int, int], int] = {}
-    for t0 in range(g):
+    for t0 in hits:
         cycle = _zero_cycle_if_two(k, b, t0)
-        if cycle is None:
-            continue
         m = radical(cycle, k)
         full = (1 << m) - 1
         mask0 = 0
@@ -284,6 +366,12 @@ def _two_orbit_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
             tuple(t for _, t in ordered))
 
 
+@lru_cache(maxsize=None)
+def _affine_map(t: int, s: int) -> AffineMapZn:
+    # one shared object per witness: all contexts n <= 400 use 398 of them
+    return AffineMapZn(t, s)
+
+
 def two_orbit_partitions_with_generators(
         ctx: AffineActionContext,
         cap: int = DEFAULT_N_CAP,
@@ -297,13 +385,26 @@ def two_orbit_partitions_with_generators(
     if ctx.n > cap:
         raise CapExceeded(f"n = {ctx.n} exceeds the enumeration cap {cap}")
     found: dict[OrbitPartition, tuple[AffineMapZn, AffineMapZn]] = {}
+    exponents = divisors(ctx.m_ord)
     for k in divisors(ctx.n):
-        for s in divisors(ctx.m_ord):
+        translation = AffineMapZn(k % ctx.n, 0)
+        seen = set()  # a^s mod k repeats over s; a repeat adds no first hit
+        for s in exponents:
             b = pow(ctx.a, s, k) if k > 1 else 0
-            for part, t in zip(*_two_orbit_table(k, b)):
+            if b in seen:
+                continue
+            seen.add(b)
+            parts, shifts = _two_orbit_table(k, b)
+            if not parts:
+                continue
+            witnesses = map(_affine_map, shifts, repeat(s % ctx.m_ord))
+            if not found:
+                # a table lists distinct partitions, so all of them are new
+                found.update(zip(parts, zip(repeat(translation), witnesses)))
+                continue
+            for part, witness in zip(parts, witnesses):
                 if part not in found:
-                    found[part] = (AffineMapZn(k % ctx.n, 0),
-                                  AffineMapZn(t, s % ctx.m_ord))
+                    found[part] = (translation, witness)
     return found
 
 
@@ -385,11 +486,13 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     literal class arrays when include_classes is set (they can be very
     large for prime n).
 
-    The work is done once per cyclic subgroup <a> of Z_n^*, not once per
-    unit: X = Z_n x| <alpha> depends on a only through <a>, so every
-    generator of <a> has the same partitions and the same verdicts (see the
-    module docstring).  Each unit a gets its own header and its own
-    violation entries; the encoded partitions are shared.
+    Classification and encoding are done once per cyclic subgroup <a> of
+    Z_n^*, not once per unit: X = Z_n x| <alpha> depends on a only through
+    <a>, so every generator of <a> has the same partitions and the same
+    verdicts (see the module docstring).  Each unit is still enumerated,
+    and its partitions must be those of the subgroup, or InvariantViolation
+    is raised.  Each unit a gets its own header and its own violation
+    entries; the encoded partitions are shared.
     """
     if n_max > cap:
         raise CapExceeded(f"n_max = {n_max} exceeds the cap {cap}")
@@ -398,14 +501,14 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     if sink:
         sink.write('{"n_max": %d, "contexts": [\n' % n_max)
     for n in range(2, n_max + 1):
-        # <a> -> (encoded tail of the context document, partition count,
-        #         [(partition, reason)] of its violations)
-        shared: dict[frozenset, tuple[str, int, list]] = {}
+        # <a> -> (encoded tail of the context document, the enumeration it
+        #         came from, [(partition, reason)] of its violations)
+        shared: dict[frozenset, tuple[str, dict, list]] = {}
         for a in units(n):
             ctx = AffineActionContext(n, a)
+            found = two_orbit_partitions_with_generators(ctx, cap=cap)
             subgroup = frozenset(ctx._a_pow)
             if subgroup not in shared:
-                found = two_orbit_partitions_with_generators(ctx, cap=cap)
                 entries = []
                 counts = [0, 0, 0]  # case1, case2, violations
                 bad = []
@@ -427,8 +530,12 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                 tail = json.dumps({
                     "partitions": entries, "case1": counts[0],
                     "case2": counts[1], "violations": counts[2]})[1:]
-                shared[subgroup] = tail, len(entries), bad
-            tail, count, bad = shared[subgroup]
+                shared[subgroup] = tail, found, bad
+            tail, first, bad = shared[subgroup]
+            if found.keys() != first.keys():
+                raise InvariantViolation(
+                    f"n = {n}: a = {a} has other two-orbit partitions than "
+                    f"a generator of the same subgroup <a>")
             for part, reason in bad:
                 violations.append({
                     "n": n, "a": a,
@@ -436,7 +543,7 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                     "reason": reason,
                 })
             contexts += 1
-            total += count
+            total += len(found)
             if sink:
                 sink.write(("" if contexts == 1 else ",\n")
                            + '{"n": %d, "a": %d, "m_ord": %d, '

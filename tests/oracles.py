@@ -321,6 +321,15 @@ def _reduce_candidate(k, b, t):
     return OrbitPartition(m, r1)
 
 
+def per_shift_table(k, b):
+    """(partitions, least witnesses) of Z_k under u -> b*u + t, ordered by
+    t, from a cycle count of every class of t."""
+    least = {}
+    for t in _two_orbit_shifts(k, b):
+        least.setdefault(_reduce_candidate(k, b, t), t)
+    return tuple(least), tuple(least.values())
+
+
 def per_shift_two_orbit_partitions(ctx):
     """Reduced partition -> first witness pair, scanning every hitting t of
     every (k, s) in ascending order."""

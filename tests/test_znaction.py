@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 
 import oracles
-from rank3affine.errors import CapExceeded, EmptySet, MalformedPartition
+from rank3affine.errors import (CapExceeded, EmptySet, InvariantViolation,
+                               MalformedPartition)
 from rank3affine.classify import as_prime_power, prime_powers_up_to
 import rank3affine.znaction as znaction
 from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
@@ -156,6 +157,14 @@ def test_translation_table_closed_form_for_b_one():
         assert _two_orbit_table(k, 1) == ((evens,), (2,))
     for k in range(1, 64, 2):
         assert _two_orbit_table(k, 1) == ((), ())
+
+
+def test_tables_match_per_shift_scan():
+    # every unit b, so the closed forms, the walked parity-swapping hits
+    # and every empty table are all checked against cycle counts
+    for k in range(2, 91):
+        for b in units(k):
+            assert _two_orbit_table(k, b) == oracles.per_shift_table(k, b), (k, b)
 
 
 def test_matches_per_shift_oracle_lemma_contexts():
@@ -361,3 +370,20 @@ def test_verify_lemma_expands_shared_violations_per_unit(monkeypatch):
         bad = [e for e in c["partitions"] if e["case"] == "violation"]
         assert len(bad) == c["violations"] == sum(
             (v["n"], v["a"]) == (c["n"], c["a"]) for v in expected)
+
+
+def test_verify_lemma_checks_each_unit_against_its_subgroup(monkeypatch):
+    # 2 and 3 both generate Z_5^*; an enumeration that disagrees for 3 must
+    # not be covered up by the result shared from 2
+    real = two_orbit_partitions_with_generators
+
+    def drop_one(ctx, cap=znaction.DEFAULT_N_CAP):
+        found = real(ctx, cap=cap)
+        if (ctx.n, ctx.a) == (5, 3):
+            found.pop(next(iter(found)))
+        return found
+
+    monkeypatch.setattr(znaction, "two_orbit_partitions_with_generators",
+                        drop_one)
+    with pytest.raises(InvariantViolation, match="a = 3"):
+        verify_lemma(5)
