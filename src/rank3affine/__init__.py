@@ -18,8 +18,7 @@ from .graphs import (CayleyGraph, NotStronglyRegular, SrgParams, build_cayley,
                      srg_params)
 from .znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
                        OrbitPartition, Violation, classify_partition, orbits,
-                       radical, two_orbit_partitions_with_generators,
-                       verify_lemma)
+                       two_orbit_partitions_with_generators, verify_lemma)
 from . import errors
 
 __version__ = "0.1.0"
@@ -33,6 +32,6 @@ __all__ = [
     "errors", "export_edge_list", "export_graph6", "gammal1_context",
     "latin_square_tag", "orbits", "paley_connection_set",
     "paley_parameter_formula", "peisert_connection_set", "prime_powers_up_to",
-    "radical", "srg_params", "two_orbit_partitions_with_generators",
+    "srg_params", "two_orbit_partitions_with_generators",
     "verify_lemma", "verify_theorem", "vls_connection_set",
 ]

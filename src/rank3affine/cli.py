@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True, help="prime characteristic")
     c.add_argument("--r", type=int, required=True, help="extension degree")
     c.add_argument("--ell", type=int, help="prime index for the vls family")
-    c.add_argument("--variant", type=int, choices=[1, 3], default=1,
+    c.add_argument("--variant", type=int, choices=[1, 3],
                    help="peisert variant (default 1)")
     c.add_argument("--format", choices=["json", "graph6", "edges", "text"],
                    default="json")
@@ -113,17 +113,23 @@ def _note(msg: str) -> None:
 
 
 def cmd_construct(args) -> int:
+    stray = {"--ell": args.family != "vls" and args.ell is not None,
+             "--variant": args.family != "peisert" and args.variant is not None}
+    for flag, given in stray.items():
+        if given:
+            _note(f"error: {flag} does not apply to --family {args.family}")
+            return 2
+    if args.family == "vls" and args.ell is None:
+        _note("error: --ell is required for the vls family")
+        return 2
     field = build_field(args.p, args.r, cap=args.field_cap)
     if args.family == "paley":
         conn = paley_connection_set(field)
     elif args.family == "vls":
-        if args.ell is None:
-            _note("error: --ell is required for the vls family")
-            return 2
         conn = vls_connection_set(field, args.ell,
                                   allow_directed=args.allow_directed)
     else:
-        conn = peisert_connection_set(field, args.variant)
+        conn = peisert_connection_set(field, args.variant or 1)
     graph = build_cayley(field, conn, allow_directed=args.allow_directed)
 
     srg_doc: dict | None = None

@@ -17,8 +17,8 @@ Fields are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
+from math import gcd
 
 from .errors import (CapExceeded, DegreeOutOfRange, InvariantViolation,
                      NotAUnit, NotPrime)
@@ -56,16 +56,21 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def mult_order(x: int, modulus: int) -> int:
-    """Multiplicative order of x modulo modulus (x must be a unit)."""
-    cur = x % modulus
-    order = 1
-    while cur != 1 % modulus:
-        cur = cur * x % modulus
-        order += 1
-        if order > modulus:
-            raise NotAUnit(f"{x} is not a unit mod {modulus}")
+    """Multiplicative order of the unit x modulo modulus.
+
+    The order divides phi(modulus): strip each prime of phi from it while x
+    to the remaining power is still 1.
+    """
+    if gcd(x, modulus) != 1:
+        raise NotAUnit(f"{x} is not a unit mod {modulus}")
+    phi = modulus
+    for p in prime_factors(modulus):
+        phi -= phi // p
+    order = phi
+    for q in prime_factors(phi):
+        while order % q == 0 and pow(x, order // q, modulus) == 1:
+            order //= q
     return order
 
 

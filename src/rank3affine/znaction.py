@@ -27,14 +27,15 @@ subgroup, and distinct candidates producing the same partition are merged.
 
 The candidates of one (k, s) depend on the context only through k and
 b = a^s mod k, so their partitions come from one table per (k, b), shared
-by every context.  Within it, u -> b*u + t and u -> b*u + t + c*(1-b) are
-conjugate under u -> u + c, so t only matters up to translation within its
-class mod gcd(b-1, k): one cycle walk per class gives the partition of
-every t in it, translated.  Splitting the map by CRT into prime-power
-components decides without a walk whether it has two cycles: all
-components but one must be single cycles (Hull-Dobell), and the other one
-must have two.  Only the hits whose cycles swap parity are walked; the
-others, and b = 1, are closed form.
+by every context.  Every table is closed form, and no map is walked.
+Splitting the map by CRT into prime-power components decides whether it
+has two cycles: all components but one must be single cycles
+(Hull-Dobell), and the other one must have two.  That component also
+gives the cycles: a residue class mod an odd prime p against the rest;
+the evens against the odds, when the map keeps parity on Z_(2^e); or,
+when it swaps parity, the preimages of its two cycles {0, t} and
+{2, 2 + t} on Z_4, which have exactly as many points as the two cycles
+on Z_(2^e).
 
 Note the partition set of a context is closed under translation: conjugating
 Y by the translation u -> u + c (an element of X) translates both orbits by
@@ -58,8 +59,8 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd
 
-from .errors import (CapExceeded, EmptySet, InvariantViolation,
-                     MalformedPartition, ModulusOutOfRange, NotAUnit)
+from .errors import (CapExceeded, InvariantViolation, MalformedPartition,
+                     ModulusOutOfRange)
 from .fields import is_prime, mult_order, prime_factors
 
 DEFAULT_N_CAP = 4096
@@ -82,24 +83,6 @@ def units(n: int) -> list[int]:
     return [a for a in range(1, n) if gcd(a, n) == 1]
 
 
-def radical(S, n: int) -> int:
-    """Index divisor d of n with {u : S + u = S} = d Z_n; d = n means trivial.
-
-    The shift stabilizer of any subset is a subgroup of Z_n, hence equal to
-    d Z_n for a divisor d, so it suffices to test divisors in increasing
-    order and return the first that stabilizes S.
-    """
-    if not S:
-        raise EmptySet("radical of the empty set is undefined")
-    S = frozenset(S)
-    for d in divisors(n):
-        if d == n:
-            break
-        if all((x + d) % n in S for x in S):
-            return d
-    return n
-
-
 @dataclass(frozen=True)
 class AffineMapZn:
     """Element (t, s) of Z_n x| <alpha>, acting as u -> a^s * u + t."""
@@ -114,18 +97,9 @@ class AffineActionContext:
     def __init__(self, n: int, a: int):
         if n < 2:
             raise ModulusOutOfRange(f"modulus n = {n} must be >= 2")
-        a %= n
-        if gcd(a, n) != 1:
-            raise NotAUnit(f"a = {a} is not a unit mod {n}")
         self.n = n
-        self.a = a
-        powers = [1]
-        x = a % n
-        while x != 1 % n:
-            powers.append(x)
-            x = x * a % n
-        self.m_ord = len(powers)
-        self._a_pow = powers
+        self.a = a % n
+        self.m_ord = mult_order(self.a, n)  # raises NotAUnit
 
     def __repr__(self) -> str:
         return f"AffineActionContext(n={self.n}, a={self.a}, m_ord={self.m_ord})"
@@ -146,7 +120,7 @@ def orbits(ctx: AffineActionContext, generators) -> list[frozenset]:
         return x
 
     for g in generators:
-        mult = ctx._a_pow[g.s % ctx.m_ord]
+        mult = pow(ctx.a, g.s, ctx.n)
         for u in range(ctx.n):
             v = (mult * u + g.t) % ctx.n
             ru, rv = find(u), find(v)
@@ -204,52 +178,24 @@ class OrbitPartition:
 # two-orbit subgroup enumeration
 # ---------------------------------------------------------------------------
 
-def _zero_cycle_if_two(k: int, b: int, t: int) -> list[int] | None:
-    """The cycle through 0 of u -> b*u + t on Z_k if the map has exactly two
-    cycles, else None.  The other cycle is the complement."""
-    seen = bytearray(k)
-    first = []
-    u = 0
-    while not seen[u]:
-        seen[u] = 1
-        first.append(u)
-        u = (b * u + t) % k
-    if len(first) == k:
-        return None
-    u = seen.index(0)
-    rest = 0
-    while not seen[u]:
-        seen[u] = 1
-        rest += 1
-        u = (b * u + t) % k
-    return first if len(first) + rest == k else None
-
-
-def _canonical_mask(m: int, mask: int) -> int:
-    # the first class by (size, min); class sizes scale the residue counts
-    # by the common factor n/m, so the rule can run on residues directly
-    rest = ((1 << m) - 1) ^ mask
-    if (mask.bit_count(), mask & -mask) > (rest.bit_count(), rest & -rest):
-        return rest
-    return mask
-
-
-@lru_cache(maxsize=None)
-def _partition_from_mask(m: int, mask: int) -> OrbitPartition:
-    # one shared object per partition: the same few partitions of Z_m recur
-    # in the tables of every multiple k of m
-    residues = []
-    while mask:
-        low = mask & -mask
-        residues.append(low.bit_length() - 1)
-        mask ^= low
-    return OrbitPartition(m, frozenset(residues))
+_EVENS = OrbitPartition(2, frozenset({0}))
+# the cycles {0, t} and {2, 2 + t} of u -> 3u + t on Z_4, for t = 1 and 3
+_QUARTIC = (OrbitPartition(4, frozenset({0, 1})),
+            OrbitPartition(4, frozenset({0, 3})))
 
 
 @lru_cache(maxsize=None)
 def _singletons(p: int) -> tuple[OrbitPartition, ...]:
-    # the partitions {r + pZ, rest} of a prime p, by r
-    return tuple(_partition_from_mask(p, 1 << r) for r in range(p))
+    # the partitions {r + pZ, rest} of a prime p, by r; one shared object
+    # each, as they recur in the tables of every multiple of p
+    return tuple(OrbitPartition(p, frozenset({r})) for r in range(p))
+
+
+def _least_prime_to(m: int, t: int, step: int) -> int:
+    # the least of t, t + step, t + 2*step, ... prime to m
+    while gcd(t, m) > 1:
+        t += step
+    return t
 
 
 # most (k, b) have no two-cycle map; their table entries share one value
@@ -262,49 +208,42 @@ def _two_orbit_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
     """Distinct partitions of Z_k into the two cycles of some map
     u -> b*u + t, with the least witness t of each, ordered by t.
 
-    For b = 1 the map is a translation with gcd(t, k) cycles, so only
-    gcd(t, k) = 2 hits and every hit splits Z_k into evens and odds: the
-    table is (m = 2, {0}) with least witness t = 2 (t = 0 when k = 2), and
-    empty for odd k.
-
-    Otherwise split the map by CRT into its components on the prime powers
-    p^e || k.  Permutations with cycle lengths L and L' make gcd(L, L')
-    cycles of their product, so two cycles need every component but one to
-    be a single cycle, which by Hull-Dobell means p | b - 1 (4 | b - 1 when
+    Split the map by CRT into its components on the prime powers p^e || k.
+    Permutations with cycle lengths L and L' make gcd(L, L') cycles of
+    their product, so two cycles need every component but one to be a
+    single cycle, which by Hull-Dobell means p | b - 1 (4 | b - 1 when
     4 | p^e) and p does not divide t, and the remaining one to have two
-    cycles of lengths prime to the rest of k.  No map is walked unless it
-    has two cycles:
+    cycles of lengths prime to the rest of k.  Every table is closed form:
 
-    - An odd component with p | b - 1 keeps every residue mod p fixed, so
-      it has at least p cycles.  One with p not dividing b - 1 has the
-      fixed point t / (1 - b) mod p, and the orbits of multiplication by b
-      on the rest are one only for e = 1 and b a primitive root mod p, of
-      length p - 1.  Such a (k, b), with p - 1 prime to k/p, hits for
+    - An odd component with p | b - 1 is one cycle for p not dividing t and
+      keeps every residue mod p fixed otherwise, so it never has two
+      cycles; an odd k whose components are all of this kind has an empty
+      table, as has k = 1.  An odd component with p not dividing b - 1 has
+      the fixed point t / (1 - b) mod p, and the orbits of multiplication
+      by b on the rest are one only for e = 1 and b a primitive root mod p,
+      of length p - 1.  Such a (k, b), with p - 1 prime to k/p, hits for
       exactly the t prime to k/p, and its classes are the residue class
       t / (1 - b) mod p and the rest.
     - On Z_(2^e) the cycle lengths are powers of 2, so two cycles have
       2^(e-1) points each.  A map that keeps parity (e = 1, or
       b = 1 mod 4, with t even) has them when the evens and the odds are
       single cycles, by Hull-Dobell for t = 2 mod 4, or any even t when
-      e = 1: the classes are the evens and the odds.  (For b = 3 mod 4,
-      e > 1 and even t, Hull-Dobell never makes both single cycles.)
-      For b = 3 mod 4 and odd t the map swaps parity, so its cycles are
-      as many as those of its square on the evens, u -> b^2 u + t(b+1)
+      e = 1: the classes are the evens and the odds.  This includes the
+      translations, b = 1.  (For b = 3 mod 4, e > 1 and even t,
+      Hull-Dobell never makes both single cycles.)
+    - For b = 3 mod 4, e > 1 and odd t the map swaps parity, so its cycles
+      are as many as those of its square on the evens, u -> b^2 u + t(b+1)
       on 2Z_(2^e); by the parity case that is two when e = 2 or
-      b = 3 mod 8.  Those cycles are walked: the maps with t and
-      t + c*(1-b) are conjugate under u -> u + c, so the second partition
-      is the first translated by c.  The shifts c*(1-b) form
-      gcd(b-1, k) Z_k, so one walk per class t0 mod gcd(b-1, k) settles
-      the whole class, and every t in it yields its partition by a
-      rotation of the residue mask.
+      b = 3 mod 8.  Mod 4 the map is u -> 3u + t, with the cycles {0, t}
+      and {2, 2 + t}.  Each cycle on Z_(2^e) reduces onto one of them, and
+      has 2^(e-1) points, as many as that cycle's preimage, so it is the
+      preimage.  The odd components are single cycles, so by CRT the
+      classes on Z_k are the same preimages, with radical 4: {0, 1} mod 4
+      for t = 1 mod 4 and {0, 3} mod 4 for t = 3 mod 4.
+
+    Every witness of a 2-adic table is prime to the odd part of k, and its
+    least one lies below k by CRT.
     """
-    if k == 1:
-        return _NO_PARTITIONS
-    b %= k
-    if b == 1:
-        if k % 2:
-            return _NO_PARTITIONS
-        return (_partition_from_mask(2, 1),), (0 if k == 2 else 2,)
     primes = prime_factors(k)
     # the components that are no single cycle whatever t is
     broken = [p for p in primes
@@ -314,56 +253,25 @@ def _two_orbit_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
     if broken and broken[0] > 2:
         p = broken[0]
         if (k % (p * p) == 0 or gcd(p - 1, k) > 1
-                or any(pow(b, (p - 1) // q, p) == 1
-                       for q in prime_factors(p - 1))):
+                or mult_order(b % p, p) != p - 1):
             return _NO_PARTITIONS
         # the least t prime to k/p in each class mod p; p^2 does not divide
         # k, so CRT puts one below k
-        shifts = []
-        for t in range(p):
-            while gcd(t, k // p) > 1:
-                t += p
-            shifts.append(t)
-        shifts.sort()
+        shifts = sorted(_least_prime_to(k // p, t, p) for t in range(p))
         inv, singles = pow(1 - b, -1, p), _singletons(p)
         return tuple(singles[t * inv % p] for t in shifts), tuple(shifts)
     if k % 2:
         return _NO_PARTITIONS
-    # the 2-adic component, on Z_(2^e), must be the one with two cycles
+    # the 2-adic component, on Z_(2^e), is the one with two cycles
     e = (k & -k).bit_length() - 1
-    swap = e > 1 and b % 4 == 3  # then odd t swap evens and odds
-    if swap and e > 2 and b % 8 != 3:
+    odd = k >> e
+    if e == 1:
+        return (_EVENS,), (_least_prime_to(odd, 0, 2),)
+    if b % 4 == 1:
+        return (_EVENS,), (_least_prime_to(odd, 2, 4),)
+    if e > 2 and b % 8 != 3:
         return _NO_PARTITIONS
-    modulus, residue = (2, 1) if swap else (2, 0) if e == 1 else (4, 2)
-    g = gcd(b - 1, k)
-    hits = [t0 for t0 in range(residue, g, modulus)
-            if all(t0 % q for q in primes[1:])]
-    if not hits:
-        return _NO_PARTITIONS
-    if not swap:
-        return (_partition_from_mask(2, 1),), (hits[0],)
-    # t = t0 + j*g is t0 + c*(1-b) for c = j * inv mod k/g
-    inv = pow((1 - b) % k // g, -1, k // g)
-    least: dict[tuple[int, int], int] = {}
-    for t0 in hits:
-        cycle = _zero_cycle_if_two(k, b, t0)
-        m = radical(cycle, k)
-        full = (1 << m) - 1
-        mask0 = 0
-        for x in cycle:
-            mask0 |= 1 << (x % m)
-        for j in range(k // g):
-            c = j * inv % (k // g) % m
-            key = (m, _canonical_mask(
-                m, ((mask0 << c) | (mask0 >> (m - c))) & full))
-            t = t0 + j * g
-            if t < least.get(key, k):
-                least[key] = t
-    if not least:
-        return _NO_PARTITIONS
-    ordered = sorted(least.items(), key=lambda e: e[1])
-    return (tuple(_partition_from_mask(m, mask) for (m, mask), _ in ordered),
-            tuple(t for _, t in ordered))
+    return _QUARTIC, (1, _least_prime_to(odd, 3, 4))
 
 
 @lru_cache(maxsize=None)
@@ -390,7 +298,7 @@ def two_orbit_partitions_with_generators(
         translation = AffineMapZn(k % ctx.n, 0)
         seen = set()  # a^s mod k repeats over s; a repeat adds no first hit
         for s in exponents:
-            b = pow(ctx.a, s, k) if k > 1 else 0
+            b = pow(ctx.a, s, k)
             if b in seen:
                 continue
             seen.add(b)
@@ -501,14 +409,14 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     if sink:
         sink.write('{"n_max": %d, "contexts": [\n' % n_max)
     for n in range(2, n_max + 1):
-        # <a> -> (encoded tail of the context document, the enumeration it
-        #         came from, [(partition, reason)] of its violations)
-        shared: dict[frozenset, tuple[str, dict, list]] = {}
+        # each generator of <a> -> (encoded tail of the context document,
+        #                           the enumeration it came from,
+        #                           [(partition, reason)] of its violations)
+        shared: dict[int, tuple[str, dict, list]] = {}
         for a in units(n):
             ctx = AffineActionContext(n, a)
             found = two_orbit_partitions_with_generators(ctx, cap=cap)
-            subgroup = frozenset(ctx._a_pow)
-            if subgroup not in shared:
+            if a not in shared:
                 entries = []
                 counts = [0, 0, 0]  # case1, case2, violations
                 bad = []
@@ -530,9 +438,15 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                 tail = json.dumps({
                     "partitions": entries, "case1": counts[0],
                     "case2": counts[1], "violations": counts[2]})[1:]
-                shared[subgroup] = tail, found, bad
-            tail, first, bad = shared[subgroup]
-            if found.keys() != first.keys():
+                # a is the first unit of <a>; the others are the a^j with
+                # gcd(j, ord a) = 1
+                x = a
+                for j in range(1, ctx.m_ord + 1):
+                    if gcd(j, ctx.m_ord) == 1:
+                        shared[x] = tail, found, bad
+                    x = x * a % n
+            tail, subgroup_found, bad = shared[a]
+            if found.keys() != subgroup_found.keys():
                 raise InvariantViolation(
                     f"n = {n}: a = {a} has other two-orbit partitions than "
                     f"a generator of the same subgroup <a>")

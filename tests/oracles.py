@@ -7,18 +7,19 @@ from the format description rather than by inverting the encoder.  The
 bitrow graph code (rows from scalar field additions, a pair scan, a
 bit-loop graph6 writer and a backtracking isomorphism test) is kept as the
 reference for the connection-set graph code, the polynomial-product table
-loop as the reference for the packed field tables, and digit-vector
-addition as the reference for the carry form of field addition.  Field
-products in tests are taken on coefficient vectors, never from the exp
-table they check.
+loop as the reference for the packed field tables, digit-vector addition
+as the reference for the carry form of field addition, and the power walk
+as the reference for multiplicative orders.  Field products in tests are
+taken on coefficient vectors, never from the exp table they check.
 """
 
 from itertools import product
 from math import gcd
 
+from rank3affine.errors import EmptySet, NotAUnit
 from rank3affine.fields import _find_modulus, _poly_mul_mod
 from rank3affine.graphs import NotStronglyRegular, SrgParams
-from rank3affine.znaction import AffineMapZn, OrbitPartition, divisors, radical
+from rank3affine.znaction import AffineMapZn, OrbitPartition, divisors
 
 
 def brute_srg_params(neighbor_sets):
@@ -250,6 +251,41 @@ def loop_graph6(rows):
     if nbits:
         out.append(63 + (acc << (6 - nbits)))
     return head + bytes(out)
+
+
+# ---------------------------------------------------------------------------
+# radicals and multiplicative orders, by walking
+# ---------------------------------------------------------------------------
+
+def radical(S, n):
+    """Index divisor d of n with {u : S + u = S} = d Z_n; d = n means trivial.
+
+    The shift stabilizer of any subset is a subgroup of Z_n, hence equal to
+    d Z_n for a divisor d, so it suffices to test divisors in increasing
+    order and return the first that stabilizes S.
+    """
+    if not S:
+        raise EmptySet("radical of the empty set is undefined")
+    S = frozenset(S)
+    for d in divisors(n):
+        if d == n:
+            break
+        if all((x + d) % n in S for x in S):
+            return d
+    return n
+
+
+def loop_mult_order(x, modulus):
+    """Multiplicative order of x modulo modulus, by multiplying by x until
+    the product returns to 1."""
+    cur = x % modulus
+    order = 1
+    while cur != 1 % modulus:
+        cur = cur * x % modulus
+        order += 1
+        if order > modulus:
+            raise NotAUnit(f"{x} is not a unit mod {modulus}")
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ def _cli(args, output):
 # sha256 of the n <= 200 lemma report, pinned like the golden reports
 LEMMA200_SHA256 = (
     "4443ec58d1fc00118e4e8292c1a1f104f9da8e2e6623b4d4421f6899f178d4c4")
+# and of the default (q <= 1024) theorem report
+THEOREM1024_SHA256 = (
+    "75cf1a067ec479e5499f991d3517294133f5207b4ce24fd0ec06f0746da819b0")
 
 
 def test_criterion_1_lemma_exhaustion(tmp_path):
@@ -75,13 +78,17 @@ def test_criterion_2_lemma_oracle_equivalence():
 def test_criterion_3_theorem_exhaustion(tmp_path):
     out = tmp_path / "theorem1024.json"
     proc, elapsed = _cli(["verify", "--theorem"], out)
-    doc = json.loads(out.read_text()) if proc.returncode == 0 else {}
+    raw = out.read_bytes() if proc.returncode == 0 else b"{}"
+    doc = json.loads(raw)
+    digest = hashlib.sha256(raw).hexdigest()
     ok = (proc.returncode == 0 and doc.get("unmatched_total") == 0
           and doc.get("fields_checked") == len(prime_powers_up_to(1024))
-          and elapsed < 300)
+          and digest == THEOREM1024_SHA256 and elapsed < 300)
     _report("criterion 3: theorem exhaustion q <= 1024", ok,
             f"exit={proc.returncode}, fields={doc.get('fields_checked')}, "
-            f"unmatched={doc.get('unmatched_total')}, {elapsed:.1f}s (< 300s)")
+            f"unmatched={doc.get('unmatched_total')}, "
+            f"sha256 {'pinned' if digest == THEOREM1024_SHA256 else digest}, "
+            f"{elapsed:.1f}s (< 300s)")
 
 
 def test_criterion_4_construction_srg_cross_checks():

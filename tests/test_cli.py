@@ -56,6 +56,35 @@ def test_construct_vls_requires_ell(capsys):
     assert "--ell" in err
 
 
+STRAY_CONSTRUCT_FLAGS = [
+    (["--family", "paley", "--p", "13", "--r", "1", "--ell", "3"],
+     "--ell does not apply to --family paley"),
+    (["--family", "peisert", "--p", "7", "--r", "2", "--ell", "5"],
+     "--ell does not apply to --family peisert"),
+    (["--family", "vls", "--p", "2", "--r", "4", "--ell", "3",
+      "--variant", "3"],
+     "--variant does not apply to --family vls"),
+    (["--family", "paley", "--p", "13", "--r", "1", "--variant", "3"],
+     "--variant does not apply to --family paley"),
+]
+
+
+@pytest.mark.parametrize("args, message", STRAY_CONSTRUCT_FLAGS,
+                         ids=[" ".join(args) for args, _ in
+                              STRAY_CONSTRUCT_FLAGS])
+def test_construct_flag_of_another_family_is_usage_error(
+        capsys, monkeypatch, args, message):
+    import rank3affine.cli as cli
+
+    def no_field(*_args, **_kwargs):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(cli, "build_field", no_field)
+    code, out, err = run(capsys, "construct", *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_construct_edges_format(capsys):
     code, out, _ = run(capsys, "construct", "--family", "paley", "--p", "5",
                        "--r", "1", "--format", "edges")
@@ -244,6 +273,8 @@ def test_cap_failures_leave_no_report(capsys, tmp_path):
                    "--output", str(f))[0] == 2
     for args, _ in STRAY_FLAGS:
         assert run(capsys, "verify", *args, "--output", str(f))[0] == 2
+    for args, _ in STRAY_CONSTRUCT_FLAGS:
+        assert run(capsys, "construct", *args, "--output", str(f))[0] == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,14 +1,30 @@
 import functools
 import random
+from math import gcd
 
 import pytest
 
 import oracles
 from rank3affine.classify import as_prime_power, prime_powers_up_to
-from rank3affine.errors import CapExceeded, DegreeOutOfRange, NotPrime
-from rank3affine.fields import build_field
+from rank3affine.errors import (CapExceeded, DegreeOutOfRange, NotAUnit,
+                                NotPrime)
+from rank3affine.fields import build_field, mult_order
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (2, 6)]
+
+
+# ---------------------------------------------------------------------------
+# multiplicative order
+# ---------------------------------------------------------------------------
+
+def test_mult_order_matches_power_walk():
+    for m in range(1, 301):
+        for x in range(m):
+            if gcd(x, m) == 1:
+                assert mult_order(x, m) == oracles.loop_mult_order(x, m), (x, m)
+            else:
+                with pytest.raises(NotAUnit):
+                    mult_order(x, m)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from rank3affine.classify import as_prime_power, prime_powers_up_to
 import rank3affine.znaction as znaction
 from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
                                   OrbitPartition, Violation, _two_orbit_table,
-                                  classify_partition, orbits, radical,
+                                  classify_partition, orbits,
                                   two_orbit_partitions_with_generators, units,
                                   verify_lemma)
 
@@ -27,18 +27,18 @@ def partition_sets(ctx):
 
 
 # ---------------------------------------------------------------------------
-# radical
+# radical (an oracle: src reads radicals off its closed-form tables)
 # ---------------------------------------------------------------------------
 
 def test_radical_examples():
-    assert radical({0, 2, 4, 6}, 8) == 2
-    assert radical({1}, 5) == 5
-    assert radical({0, 1, 4, 5}, 8) == 4
+    assert oracles.radical({0, 2, 4, 6}, 8) == 2
+    assert oracles.radical({1}, 5) == 5
+    assert oracles.radical({0, 1, 4, 5}, 8) == 4
 
 
 def test_radical_empty_set():
     with pytest.raises(EmptySet):
-        radical(set(), 6)
+        oracles.radical(set(), 6)
 
 
 def test_radical_divides_n_and_stabilizes():
@@ -47,7 +47,7 @@ def test_radical_divides_n_and_stabilizes():
         n = rng.randrange(2, 64)
         size = rng.randrange(1, n + 1)
         S = frozenset(rng.sample(range(n), size))
-        d = radical(S, n)
+        d = oracles.radical(S, n)
         assert n % d == 0
         if d < n:
             assert {(x + d) % n for x in S} == S
@@ -61,7 +61,8 @@ def test_radical_translation_invariance():
         n = rng.randrange(2, 64)
         S = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
         c = rng.randrange(n)
-        assert radical({(x + c) % n for x in S}, n) == radical(S, n)
+        shifted = {(x + c) % n for x in S}
+        assert oracles.radical(shifted, n) == oracles.radical(S, n)
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +154,31 @@ def test_witness_generators_reproduce_partitions():
 def test_translation_table_closed_form_for_b_one():
     evens = OrbitPartition(2, frozenset({0}))
     assert _two_orbit_table(2, 1) == ((evens,), (0,))
-    for k in range(4, 64, 2):
+    for k in range(4, 1000, 2):
         assert _two_orbit_table(k, 1) == ((evens,), (2,))
-    for k in range(1, 64, 2):
+    for k in range(1, 1000, 2):
         assert _two_orbit_table(k, 1) == ((), ())
 
 
 def test_tables_match_per_shift_scan():
-    # every unit b, so the closed forms, the walked parity-swapping hits
-    # and every empty table are all checked against cycle counts
+    # every unit b, so every closed form and every empty table is checked
+    # against cycle counts
     for k in range(2, 91):
         for b in units(k):
             assert _two_orbit_table(k, b) == oracles.per_shift_table(k, b), (k, b)
+
+
+def test_parity_swapping_tables_match_per_shift_scan():
+    # 4 | k and b = 3 mod 4: the odd t swap evens and odds, and the table is
+    # derived from the cycles of u -> 3u + t on Z_4, never walked
+    checked = 0
+    for k in range(4, 401, 4):
+        for b in range(3, k, 4):
+            if gcd(b, k) == 1:
+                assert _two_orbit_table(k, b) == \
+                    oracles.per_shift_table(k, b), (k, b)
+                checked += 1
+    assert checked == 4081
 
 
 def test_matches_per_shift_oracle_lemma_contexts():
@@ -270,7 +284,7 @@ def test_enumerated_partitions_share_radical_and_case_shapes():
             ctx = AffineActionContext(n, a)
             for part in two_orbit_partitions_with_generators(ctx):
                 c1, c2 = part.classes(n)
-                assert radical(c1, n) == radical(c2, n) == part.m
+                assert oracles.radical(c1, n) == oracles.radical(c2, n) == part.m
                 case = classify_partition(ctx, part)
                 if isinstance(case, Case1):
                     assert len(c1) == n // case.m
