@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="json")
     c.add_argument("--output", help="write the result to a file instead of stdout")
     c.add_argument("--allow-directed", action="store_true",
-                   help="accept asymmetric connection sets (exploratory)")
+                   help="accept an asymmetric vls connection set (exploratory)")
     c.add_argument("--field-cap", type=int, default=DEFAULT_FIELD_CAP)
     c.add_argument("--srg-cap", type=int, default=DEFAULT_SRG_CAP)
     c.set_defaults(func=cmd_construct)
@@ -114,7 +114,8 @@ def _note(msg: str) -> None:
 
 def cmd_construct(args) -> int:
     stray = {"--ell": args.family != "vls" and args.ell is not None,
-             "--variant": args.family != "peisert" and args.variant is not None}
+             "--variant": args.family != "peisert" and args.variant is not None,
+             "--allow-directed": args.family != "vls" and args.allow_directed}
     for flag, given in stray.items():
         if given:
             _note(f"error: {flag} does not apply to --family {args.family}")

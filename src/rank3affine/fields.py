@@ -221,36 +221,6 @@ class FiniteField:
     def coeffs(self, x: int) -> tuple[int, ...]:
         return self._decode(x)
 
-    def add(self, x: int, y: int) -> int:
-        p = self.p
-        if p == 2:
-            return x ^ y
-        if self.r == 1:
-            return (x + y) % p
-        # add the codes, then take back p^(i+1) for every digit i that carries
-        total, w = x + y, 1
-        while x and y:
-            x, a = divmod(x, p)
-            y, b = divmod(y, p)
-            w *= p
-            if a + b >= p:
-                total -= w
-        return total
-
-    def neg(self, x: int) -> int:
-        p = self.p
-        if p == 2:
-            return x
-        if self.r == 1:
-            return (-x) % p
-        out, w = 0, 1
-        while x:
-            x, a = divmod(x, p)
-            if a:
-                out += (p - a) * w
-            w *= p
-        return out
-
     def exp(self, i: int) -> int:
         return self._exp[i % (self.q - 1)]
 

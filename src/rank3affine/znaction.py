@@ -23,19 +23,42 @@ Soundness in detail: if Y <= X has exactly two orbits, put <k> = Y & Z_n
 (t, s) lies in Y, and Y = <(k,0), (t,s)> with t mattering only mod k.
 Conversely every generated pair is a genuine subgroup, so candidate hits are
 never spurious.  Iterating k | n, s | ord(a), t in Z_k therefore covers every
-subgroup, and distinct candidates producing the same partition are merged.
+subgroup, and each partition is witnessed by its first hit in that order.
 
-The candidates of one (k, s) depend on the context only through k and
-b = a^s mod k, so their partitions come from one table per (k, b), shared
-by every context.  Every table is closed form, and no map is walked.
-Splitting the map by CRT into prime-power components decides whether it
-has two cycles: all components but one must be single cycles
-(Hull-Dobell), and the other one must have two.  That component also
-gives the cycles: a residue class mod an odd prime p against the rest;
-the evens against the odds, when the map keeps parity on Z_(2^e); or,
-when it swaps parity, the preimages of its two cycles {0, t} and
-{2, 2 + t} on Z_4, which have exactly as many points as the two cycles
-on Z_(2^e).
+Each partition is found at its own radical.  Let Y give the partition P,
+with radical m Z_n.  The translation (m, 0) maps each class of P onto
+itself, so Y and (m, 0) generate a subgroup with the same orbits, whose
+translation part is exactly <m>: a translation that keeps both classes lies
+in the radical.  That subgroup is <(m, 0), (t, s)> with Y's own s, so
+k = m hits P.  A hit at k gives classes that are unions of k-cosets, so
+m | k, and the first hit in (k, s, t) order has k = m.  The enumerator
+therefore reads, for each k | n, only the partitions of Z_k whose radical
+is k itself, and partitions read at different k differ.
+
+Only k = 2, 4 and the odd primes have such partitions.  Reducing mod a
+divisor d of k maps each cycle of u -> b*u + t on Z_k onto a cycle of the
+reduced map on Z_d, so the map has at least as many cycles as its
+reduction, and when both have two, the classes are the preimages of the
+reduced ones, with radical dividing d.  By CRT the map is the product of
+its components on the prime powers p^e || k, and the cycle count of a
+product is at least the product of the counts, so a map with two cycles
+has two on one component and one on each other one.  Its two cycles then
+lie over the two cycles of that component and are their preimages, so the
+radical is k only for k = p^e.  For odd p, the map reduces mod p to a
+translation (one cycle for t not divisible by p, and then, by Hull-Dobell,
+so is the map; p cycles otherwise), or to the fixed point t / (1 - b) and
+the orbits of multiplication by b around it, which are one exactly when b
+is a primitive root mod p: the classes are a residue class mod p and the
+rest, so e = 1.  For p = 2, a map with even t reduces mod 2 to two fixed
+points, and its classes are the evens and the odds (k = 2).  With odd t it
+is a single cycle for b = 1 mod 4 (Hull-Dobell); for b = 3 mod 4 it
+reduces mod 4 to u -> 3u + t, with the cycles {0, t} and {2, 2 + t}
+(k = 4).
+
+So the table of Z_k and b is empty unless k = 2; k = 4 and b = 3; or k an
+odd prime and b a primitive root mod k, when it lists all k residue
+classes.  A power of b is a primitive root mod k, or 3 mod 4, only if b
+is, so the first s | ord(a) with a nonempty table is s = 1.
 
 Note the partition set of a context is closed under translation: conjugating
 Y by the translation u -> u + c (an element of X) translates both orbits by
@@ -61,7 +84,7 @@ from math import gcd
 
 from .errors import (CapExceeded, InvariantViolation, MalformedPartition,
                      ModulusOutOfRange)
-from .fields import is_prime, mult_order, prime_factors
+from .fields import is_prime, mult_order
 
 DEFAULT_N_CAP = 4096
 
@@ -150,7 +173,8 @@ class OrbitPartition:
 
     m: int
     r1: frozenset
-    # the enumeration's dict lookups hash each partition several times
+    # found.update and verify_lemma's key comparison each hash every
+    # partition once per context
     _hash: int | None = field(default=None, init=False, repr=False,
                               compare=False)
 
@@ -187,91 +211,24 @@ _QUARTIC = (OrbitPartition(4, frozenset({0, 1})),
 @lru_cache(maxsize=None)
 def _singletons(p: int) -> tuple[OrbitPartition, ...]:
     # the partitions {r + pZ, rest} of a prime p, by r; one shared object
-    # each, as they recur in the tables of every multiple of p
+    # each, as they recur in every context n that p divides
     return tuple(OrbitPartition(p, frozenset({r})) for r in range(p))
 
 
-def _least_prime_to(m: int, t: int, step: int) -> int:
-    # the least of t, t + step, t + 2*step, ... prime to m
-    while gcd(t, m) > 1:
-        t += step
-    return t
-
-
-# most (k, b) have no two-cycle map; their table entries share one value
-_NO_PARTITIONS: tuple[tuple, tuple] = ((), ())
-
-
-@lru_cache(maxsize=None)
-def _two_orbit_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
-                                              tuple[int, ...]]:
-    """Distinct partitions of Z_k into the two cycles of some map
-    u -> b*u + t, with the least witness t of each, ordered by t.
-
-    Split the map by CRT into its components on the prime powers p^e || k.
-    Permutations with cycle lengths L and L' make gcd(L, L') cycles of
-    their product, so two cycles need every component but one to be a
-    single cycle, which by Hull-Dobell means p | b - 1 (4 | b - 1 when
-    4 | p^e) and p does not divide t, and the remaining one to have two
-    cycles of lengths prime to the rest of k.  Every table is closed form:
-
-    - An odd component with p | b - 1 is one cycle for p not dividing t and
-      keeps every residue mod p fixed otherwise, so it never has two
-      cycles; an odd k whose components are all of this kind has an empty
-      table, as has k = 1.  An odd component with p not dividing b - 1 has
-      the fixed point t / (1 - b) mod p, and the orbits of multiplication
-      by b on the rest are one only for e = 1 and b a primitive root mod p,
-      of length p - 1.  Such a (k, b), with p - 1 prime to k/p, hits for
-      exactly the t prime to k/p, and its classes are the residue class
-      t / (1 - b) mod p and the rest.
-    - On Z_(2^e) the cycle lengths are powers of 2, so two cycles have
-      2^(e-1) points each.  A map that keeps parity (e = 1, or
-      b = 1 mod 4, with t even) has them when the evens and the odds are
-      single cycles, by Hull-Dobell for t = 2 mod 4, or any even t when
-      e = 1: the classes are the evens and the odds.  This includes the
-      translations, b = 1.  (For b = 3 mod 4, e > 1 and even t,
-      Hull-Dobell never makes both single cycles.)
-    - For b = 3 mod 4, e > 1 and odd t the map swaps parity, so its cycles
-      are as many as those of its square on the evens, u -> b^2 u + t(b+1)
-      on 2Z_(2^e); by the parity case that is two when e = 2 or
-      b = 3 mod 8.  Mod 4 the map is u -> 3u + t, with the cycles {0, t}
-      and {2, 2 + t}.  Each cycle on Z_(2^e) reduces onto one of them, and
-      has 2^(e-1) points, as many as that cycle's preimage, so it is the
-      preimage.  The odd components are single cycles, so by CRT the
-      classes on Z_k are the same preimages, with radical 4: {0, 1} mod 4
-      for t = 1 mod 4 and {0, 3} mod 4 for t = 3 mod 4.
-
-    Every witness of a 2-adic table is prime to the odd part of k, and its
-    least one lies below k by CRT.
-    """
-    primes = prime_factors(k)
-    # the components that are no single cycle whatever t is
-    broken = [p for p in primes
-              if (b - 1) % p or (p == 2 and k % 4 == 0 and (b - 1) % 4)]
-    if len(broken) > 1:
-        return _NO_PARTITIONS
-    if broken and broken[0] > 2:
-        p = broken[0]
-        if (k % (p * p) == 0 or gcd(p - 1, k) > 1
-                or mult_order(b % p, p) != p - 1):
-            return _NO_PARTITIONS
-        # the least t prime to k/p in each class mod p; p^2 does not divide
-        # k, so CRT puts one below k
-        shifts = sorted(_least_prime_to(k // p, t, p) for t in range(p))
-        inv, singles = pow(1 - b, -1, p), _singletons(p)
-        return tuple(singles[t * inv % p] for t in shifts), tuple(shifts)
-    if k % 2:
-        return _NO_PARTITIONS
-    # the 2-adic component, on Z_(2^e), is the one with two cycles
-    e = (k & -k).bit_length() - 1
-    odd = k >> e
-    if e == 1:
-        return (_EVENS,), (_least_prime_to(odd, 0, 2),)
-    if b % 4 == 1:
-        return (_EVENS,), (_least_prime_to(odd, 2, 4),)
-    if e > 2 and b % 8 != 3:
-        return _NO_PARTITIONS
-    return _QUARTIC, (1, _least_prime_to(odd, 3, 4))
+def _radical_full_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
+                                                 tuple[int, ...]]:
+    """Partitions of Z_k with radical k into the two cycles of some map
+    u -> b*u + t, with the least witness t of each, ordered by t (see the
+    module docstring for why no other (k, b) has one)."""
+    if k == 2:
+        return (_EVENS,), (0,)
+    if k == 4 and b == 3:
+        return _QUARTIC, (1, 3)
+    if k % 2 and is_prime(k) and mult_order(b, k) == k - 1:
+        # the class of t is the fixed point t / (1 - b) mod k
+        inv, singles = pow(1 - b, -1, k), _singletons(k)
+        return tuple(singles[t * inv % k] for t in range(k)), tuple(range(k))
+    return (), ()
 
 
 @lru_cache(maxsize=None)
@@ -288,31 +245,19 @@ def two_orbit_partitions_with_generators(
 
     The witness pair ((k, 0), (t, s)) generates a subgroup whose orbit
     partition of Z_n is the key; it is the first hit in (k, s, t) ascending
-    order.
+    order.  Each partition is read at k = its radical index, from the
+    table of b = a mod k, so s = 1 (see the module docstring).
     """
     if ctx.n > cap:
         raise CapExceeded(f"n = {ctx.n} exceeds the enumeration cap {cap}")
     found: dict[OrbitPartition, tuple[AffineMapZn, AffineMapZn]] = {}
-    exponents = divisors(ctx.m_ord)
+    s = 1 % ctx.m_ord
     for k in divisors(ctx.n):
-        translation = AffineMapZn(k % ctx.n, 0)
-        seen = set()  # a^s mod k repeats over s; a repeat adds no first hit
-        for s in exponents:
-            b = pow(ctx.a, s, k)
-            if b in seen:
-                continue
-            seen.add(b)
-            parts, shifts = _two_orbit_table(k, b)
-            if not parts:
-                continue
-            witnesses = map(_affine_map, shifts, repeat(s % ctx.m_ord))
-            if not found:
-                # a table lists distinct partitions, so all of them are new
-                found.update(zip(parts, zip(repeat(translation), witnesses)))
-                continue
-            for part, witness in zip(parts, witnesses):
-                if part not in found:
-                    found[part] = (translation, witness)
+        parts, shifts = _radical_full_table(k, ctx.a % k)
+        if parts:
+            witnesses = map(_affine_map, shifts, repeat(s))
+            found.update(zip(parts, zip(repeat(AffineMapZn(k % ctx.n, 0)),
+                                        witnesses)))
     return found
 
 

@@ -4,13 +4,13 @@ These deliberately avoid the code paths they validate: strong regularity is
 counted with a plain triple loop, two-orbit partitions come from closing
 every unordered pair of group elements, and the graph6 decoder is written
 from the format description rather than by inverting the encoder.  The
-bitrow graph code (rows from scalar field additions, a pair scan, a
+bitrow graph code (rows from digit-wise field additions, a pair scan, a
 bit-loop graph6 writer and a backtracking isomorphism test) is kept as the
 reference for the connection-set graph code, the polynomial-product table
-loop as the reference for the packed field tables, digit-vector addition
-as the reference for the carry form of field addition, and the power walk
-as the reference for multiplicative orders.  Field products in tests are
-taken on coefficient vectors, never from the exp table they check.
+loop as the reference for the packed field tables, and the power walk as
+the reference for multiplicative orders.  Field sums in tests are taken on
+base-p digits and field products on coefficient vectors, never from the
+exp table they check.
 """
 
 from itertools import product
@@ -155,9 +155,28 @@ def decode_graph6(data):
 
 def bitrows(field, connection):
     """Row x of the Cayley graph as an int whose bit y is set iff y - x lies
-    in the connection set, from the scalar additions x + s."""
-    codes = {field.exp(i) for i in connection.indices}
-    return [sum(1 << field.add(x, s) for s in codes) for x in range(field.q)]
+    in the connection set.  Row x adds x to every member one base-p digit
+    at a time, through tables of c -> c + d * p^i: the table for d = 1 adds
+    1 to digit i mod p of each decoded code, and d + 1 composes d with 1."""
+    p, q = field.p, field.q
+    digits = [field.coeffs(c) for c in range(q)]
+    step = []
+    for i in range(field.r):
+        one = [c + ((x[i] + 1) % p - x[i]) * p ** i
+               for c, x in enumerate(digits)]
+        tables = [range(q)]
+        for _ in range(p - 1):
+            tables.append(list(map(one.__getitem__, tables[-1])))
+        step.append(tables)
+    members = [field.exp(i) for i in connection.indices]
+    bit = [1 << c for c in range(q)]
+    rows = []
+    for x in digits:
+        codes = members
+        for i, d in enumerate(x):
+            codes = map(step[i][d].__getitem__, codes)
+        rows.append(sum(map(bit.__getitem__, codes)))
+    return rows
 
 
 def bitrow_srg_params(rows):

@@ -66,6 +66,10 @@ STRAY_CONSTRUCT_FLAGS = [
      "--variant does not apply to --family vls"),
     (["--family", "paley", "--p", "13", "--r", "1", "--variant", "3"],
      "--variant does not apply to --family paley"),
+    (["--family", "paley", "--p", "13", "--r", "1", "--allow-directed"],
+     "--allow-directed does not apply to --family paley"),
+    (["--family", "peisert", "--p", "3", "--r", "2", "--allow-directed"],
+     "--allow-directed does not apply to --family peisert"),
 ]
 
 

@@ -11,7 +11,7 @@ from rank3affine.errors import (CapExceeded, EmptySet, InvariantViolation,
 from rank3affine.classify import as_prime_power, prime_powers_up_to
 import rank3affine.znaction as znaction
 from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
-                                  OrbitPartition, Violation, _two_orbit_table,
+                                  OrbitPartition, Violation, _radical_full_table,
                                   classify_partition, orbits,
                                   two_orbit_partitions_with_generators, units,
                                   verify_lemma)
@@ -151,32 +151,44 @@ def test_witness_generators_reproduce_partitions():
                 assert classes == class_sets(part, n)
 
 
+def radical_full_oracle(k, b):
+    # the per-shift cycle-count table, kept to the partitions with radical k
+    entries = [(part, t) for part, t in zip(*oracles.per_shift_table(k, b))
+               if part.m == k]
+    return tuple(part for part, _ in entries), tuple(t for _, t in entries)
+
+
 def test_translation_table_closed_form_for_b_one():
+    # a translation has radical-full two-cycle partitions only on Z_2
     evens = OrbitPartition(2, frozenset({0}))
-    assert _two_orbit_table(2, 1) == ((evens,), (0,))
-    for k in range(4, 1000, 2):
-        assert _two_orbit_table(k, 1) == ((evens,), (2,))
-    for k in range(1, 1000, 2):
-        assert _two_orbit_table(k, 1) == ((), ())
+    assert _radical_full_table(2, 1) == ((evens,), (0,))
+    for k in range(3, 1000):
+        assert _radical_full_table(k, 1) == ((), ()), k
 
 
 def test_tables_match_per_shift_scan():
-    # every unit b, so every closed form and every empty table is checked
-    # against cycle counts
+    # every unit b, so every closed form and every empty table (composite
+    # k other than 4 included) is checked against cycle counts
+    nonempty = 0
     for k in range(2, 91):
         for b in units(k):
-            assert _two_orbit_table(k, b) == oracles.per_shift_table(k, b), (k, b)
+            table = _radical_full_table(k, b)
+            assert table == radical_full_oracle(k, b), (k, b)
+            nonempty += bool(table[0])
+    # k = 2, (k, b) = (4, 3), and the phi(p - 1) primitive roots of each odd
+    # prime p < 91
+    assert nonempty == 361
 
 
 def test_parity_swapping_tables_match_per_shift_scan():
-    # 4 | k and b = 3 mod 4: the odd t swap evens and odds, and the table is
-    # derived from the cycles of u -> 3u + t on Z_4, never walked
+    # 4 | k and b = 3 mod 4: the odd t swap evens and odds, and their
+    # partitions have radical 4, so only k = 4 lists them
     checked = 0
     for k in range(4, 401, 4):
         for b in range(3, k, 4):
             if gcd(b, k) == 1:
-                assert _two_orbit_table(k, b) == \
-                    oracles.per_shift_table(k, b), (k, b)
+                assert _radical_full_table(k, b) == \
+                    radical_full_oracle(k, b), (k, b)
                 checked += 1
     assert checked == 4081
 
