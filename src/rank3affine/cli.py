@@ -83,29 +83,32 @@ def build_parser() -> argparse.ArgumentParser:
 def _out_stream(path: str | None):
     """Stdout, or a temp file beside path that replaces path on a normal
     return and is removed on an exception, so no partial report is left.
-    A path that cannot be written raises OutputNotWritable naming it."""
-    if not path:
-        yield sys.stdout
-        return
+    A failed write (a closed pipe, a full disk) raises OutputNotWritable."""
     try:
+        if not path:
+            yield sys.stdout
+            sys.stdout.flush()
+            return
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".rank3affine-", suffix=".tmp")
-    except OSError as exc:
-        raise OutputNotWritable(f"cannot write {path}: {exc.strerror}") from None
-    try:
-        with open(fd, "w", encoding="ascii") as fh:
-            yield fh
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         try:
+            with open(fd, "w", encoding="ascii") as fh:
+                yield fh
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
-        except OSError as exc:
-            raise OutputNotWritable(
-                f"cannot write {path}: {exc.strerror}") from None
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if not path:
+            # the buffered rest would fail again in the flush at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise OutputNotWritable(
+            f"cannot write {path or 'stdout'}: {exc.strerror}") from None
 
 
 def _note(msg: str) -> None:
@@ -178,7 +181,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # reject on the cap before building field tables; p^r >= 2^r bounds the
+    # reject on the cap before building the field; p^r >= 2^r bounds the
     # exponent so a huge --r is not raised to a power
     if args.p >= 2 and args.r >= 1 and (args.r >= args.cap.bit_length()
                                         or args.p ** args.r > args.cap):

@@ -47,7 +47,7 @@ class FieldMismatch(Rank3Error):
 
 
 class OutputNotWritable(Rank3Error):
-    """The report cannot be written at the requested path."""
+    """The report cannot be written to its target, a path or stdout."""
 
 
 class EmptySet(Rank3Error):

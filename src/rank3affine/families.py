@@ -1,7 +1,8 @@
 """Connection sets of the three strongly regular graph families.
 
 All sets live in dlog space: a connection set is a subset of Z_{q-1} whose
-image under exp is the actual subset of F_q^*.  The three constructions:
+image under i -> omega^i is the actual subset of F_q^*.  The three
+constructions:
 
   * generalized Paley (Van Lint-Schrijver): the index-ell subgroup <omega^ell>,
     requiring ell prime with ord_ell(p) = ell - 1 and q = p^((ell-1)k);

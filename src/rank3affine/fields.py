@@ -1,10 +1,11 @@
-"""Exact arithmetic in GF(p^r) with the exp table of a primitive element.
+"""Exact arithmetic in GF(p^r) with a fixed primitive element omega.
 
 Elements are represented by integer codes in [0, q): the code of an element
 with polynomial coefficients (c0, ..., c_{r-1}) (low degree first) is
-sum(c_i * p**i).  The exp table lists the codes of the powers of a fixed
-primitive element omega, so exp(i) is the element with discrete log i.
-The module is pure Python.
+sum(c_i * p**i).  A field holds no table: `FiniteField.powers` walks the
+codes of omega^0, ..., omega^(q-2), the elements with discrete logs 0, ...,
+q - 2, on each call.  Only `graphs.build_cayley` runs that walk; `verify`
+and `classify` never do.  The module is pure Python.
 
 Construction is fully deterministic: the modulus is the lexicographically
 first monic irreducible polynomial of degree r over GF(p), and omega is the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import gcd
+from typing import Iterator
 
 from .errors import (CapExceeded, DegreeOutOfRange, InvariantViolation,
                      NotAUnit, NotPrime)
@@ -125,7 +127,7 @@ def _find_modulus(p: int, r: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """GF(p^r) with the exp table of a primitive element."""
+    """GF(p^r) as p, r, q, its modulus and omega; it stores no table."""
 
     def __init__(self, p: int, r: int, cap: int = DEFAULT_FIELD_CAP):
         if not is_prime(p):
@@ -141,19 +143,8 @@ class FiniteField:
         self.modulus = _find_modulus(p, r)
         self._pow_p = tuple(p ** i for i in range(r))
         self.omega = self._find_omega()
-        self._build_tables()
 
     # -- construction ------------------------------------------------------
-
-    def _encode(self, coeffs: tuple[int, ...]) -> int:
-        return sum(c * w for c, w in zip(coeffs, self._pow_p))
-
-    def _decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.r):
-            code, c = divmod(code, self.p)
-            out.append(c)
-        return tuple(out)
 
     def _find_omega(self) -> int:
         one = (1,) + (0,) * (self.r - 1)
@@ -163,7 +154,7 @@ class FiniteField:
             if not any(cand):
                 continue
             if all(self._pow_coeffs(cand, e) != one for e in checks):
-                return self._encode(cand)
+                return sum(c * w for c, w in zip(cand, self._pow_p))
         raise InvariantViolation(f"no primitive element of GF({self.q})")
 
     def _pow_coeffs(self, base: tuple[int, ...], e: int) -> tuple[int, ...]:
@@ -175,9 +166,20 @@ class FiniteField:
             e >>= 1
         return result
 
-    def _build_tables(self) -> None:
-        """exp[i] = omega^i, by repeated multiplication; a power that
-        repeats before i = q - 1 means omega is not primitive.
+    def coeffs(self, code: int) -> tuple[int, ...]:
+        """Coefficients of the element with this code, low degree first."""
+        out = []
+        for _ in range(self.r):
+            code, c = divmod(code, self.p)
+            out.append(c)
+        return tuple(out)
+
+    def powers(self) -> Iterator[int]:
+        """Yield the codes of omega^0, ..., omega^(q-2), in order.
+
+        A code that repeats before i = q - 1 means omega is not primitive
+        and raises InvariantViolation, as does omega^(q-1) != 1 after the
+        last yield.
 
         x -> x * omega is GF(p)-linear: if x has digits d_j, the product's
         digit vector is sum_j d_j * col_j mod p, where col_j holds the digits
@@ -190,14 +192,13 @@ class FiniteField:
         p, r, n = self.p, self.r, self.q - 1
         width = (r * (p - 1) ** 2).bit_length()
         lane = (1 << width) - 1
-        omega_coeffs = self._decode(self.omega)
+        omega_coeffs = self.coeffs(self.omega)
         steps = []
         for j, weight in enumerate(self._pow_p):
             x_j = tuple(int(i == j) for i in range(r))
             col = _poly_mul_mod(x_j, omega_coeffs, self.modulus, p)
             steps.append((width * j, weight,
                           sum(c << (width * i) for i, c in enumerate(col))))
-        exp_table = [0] * n
         seen = bytearray(self.q)
         acc = 1
         for i in range(n):
@@ -208,21 +209,12 @@ class FiniteField:
                 nxt += d * col
             if seen[code]:
                 raise InvariantViolation(f"omega has order {i} < {n}")
-            exp_table[i] = code
             seen[code] = 1
+            yield code
             acc = nxt
         if sum((acc >> shift & lane) % p * weight
                for shift, weight, _ in steps) != 1:
             raise InvariantViolation("omega^(q-1) != 1")
-        self._exp = exp_table
-
-    # -- element arithmetic on integer codes --------------------------------
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        return self._decode(x)
-
-    def exp(self, i: int) -> int:
-        return self._exp[i % (self.q - 1)]
 
     # -- misc ----------------------------------------------------------------
 
@@ -232,7 +224,7 @@ class FiniteField:
             "r": self.r,
             "q": self.q,
             "modulus": list(self.modulus),
-            "omega": list(self._decode(self.omega)),
+            "omega": list(self.coeffs(self.omega)),
         }
 
     def same_field(self, other: "FiniteField") -> bool:

@@ -72,7 +72,8 @@ class CayleyGraph:
 
 def build_cayley(field: FiniteField, connection: ConnectionSet,
                  allow_directed: bool = False) -> CayleyGraph:
-    """Build the Cayley graph of F_q^+ with the given connection set."""
+    """Build the Cayley graph of F_q^+ with the given connection set, whose
+    codes are marked as the field's walk of the powers of omega streams by."""
     if not field.same_field(connection.field):
         raise FieldMismatch("connection set belongs to a different field")
     symmetric = connection.is_symmetric()
@@ -81,8 +82,10 @@ def build_cayley(field: FiniteField, connection: ConnectionSet,
             "connection set is not closed under negation; the graph would be "
             "directed (q = 3 mod 4 squares, for instance)")
     mark = bytearray(field.q)
-    for i in connection.indices:
-        mark[field.exp(i)] = 1
+    inside = map(connection.indices.__contains__, range(field.q - 1))
+    # compress pulls each power before its flag: the walk runs to its end check
+    for code in compress(field.powers(), inside):
+        mark[code] = 1
     # int() reads the highest bit first, so code 0 goes last
     indicator = int(mark[::-1].translate(_FLAG_DIGITS), 2)
     distinct = indicator.bit_count()

@@ -9,10 +9,11 @@ bit-loop graph6 writer and a backtracking isomorphism test) is kept as the
 reference for the connection-set graph code, the polynomial-product table
 loop as the reference for the packed field tables, and the power walk as
 the reference for multiplicative orders.  Field sums in tests are taken on
-base-p digits and field products on coefficient vectors, never from the
-exp table they check.
+base-p digits and field products on coefficient vectors, and the powers of
+omega come from that loop, never from the field walk they check.
 """
 
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -168,7 +169,8 @@ def bitrows(field, connection):
         for _ in range(p - 1):
             tables.append(list(map(one.__getitem__, tables[-1])))
         step.append(tables)
-    members = [field.exp(i) for i in connection.indices]
+    exp = loop_field_tables(p, field.r)[0]
+    members = [exp[i] for i in connection.indices]
     bit = [1 << c for c in range(q)]
     rows = []
     for x in digits:
@@ -448,12 +450,15 @@ def field_pow(field, x, e):
 # field tables: one polynomial product per power of omega
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def loop_field_tables(p, r):
-    """(exp, descriptor) of GF(p^r) by the polynomial-product loop.
+    """(exp, descriptor) of GF(p^r) by the polynomial-product loop, cached
+    per (p, r).
 
     omega is the first coefficient vector, in lexicographic order, whose
     powers reach every nonzero element before returning to 1; exp[i] is the
-    code of omega^i.
+    code of omega^i.  Callers share the cached result and must not change
+    it.
     """
     q = p ** r
     modulus = _find_modulus(p, r)
@@ -471,4 +476,4 @@ def loop_field_tables(p, r):
             break
     descriptor = {"p": p, "r": r, "q": q, "modulus": list(modulus),
                   "omega": list(omega)}
-    return exp, descriptor
+    return tuple(exp), descriptor

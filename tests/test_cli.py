@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pathlib
@@ -10,6 +11,9 @@ import oracles
 from rank3affine.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+# a child python that imports the package from this checkout
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -348,6 +352,57 @@ def test_report_file_mode_matches_plain_open(capsys, tmp_path):
     assert report.stat().st_mode == plain.stat().st_mode
 
 
+def test_closed_stdout_pipe_is_usage_error(tmp_path):
+    # the reader leaves after 100 bytes, as `| head -c 100` does
+    with open(tmp_path / "stderr", "w+") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rank3affine", "verify", "--lemma",
+             "--n-max", "200"],
+            env=SRC_ENV, stdout=subprocess.PIPE, stderr=stderr)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 2
+        stderr.seek(0)
+        err = stderr.read()
+    assert err == (f"error: OutputNotWritable: cannot write stdout: "
+                   f"{os.strerror(errno.EPIPE)}\n")
+
+
+def test_full_disk_mid_report_is_usage_error(capsys, tmp_path, monkeypatch):
+    import rank3affine.cli as cli
+
+    written = []
+
+    class FullDisk:
+        """The report file, on a disk with room for 1000 characters."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+            self.room = 1000
+
+        def write(self, s):
+            if len(s) > self.room:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.room -= len(s)
+            written.append(s)
+            return self.fh.write(s)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    target = tmp_path / "lemma.json"
+    code, out, err = run(capsys, "verify", "--lemma", "--n-max", "50",
+                         "--output", str(target))
+    assert code == 2 and out == "" and written
+    assert err == (f"error: OutputNotWritable: cannot write {target}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # numpy is never loaded
 # ---------------------------------------------------------------------------
@@ -376,9 +431,7 @@ def test_numpy_never_imported(argv, tmp_path):
         lines += ["from rank3affine.cli import main",
                   f"assert main({argv!r}) == 0"]
     lines.append("print('numpy' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=SRC_ENV,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]

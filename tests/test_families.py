@@ -16,7 +16,8 @@ from rank3affine.znaction import OrbitPartition
 
 
 def element_codes(c):
-    return {c.field.exp(i) for i in c.indices}
+    exp = oracles.loop_field_tables(c.field.p, c.field.r)[0]
+    return {exp[i] for i in c.indices}
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_modulus_has_no_root_for_extensions():
 def test_deterministic_construction():
     f1, f2 = build_field(3, 2), build_field(3, 2)
     assert f1.descriptor() == f2.descriptor()
-    assert f1._exp == f2._exp
+    assert list(f1.powers()) == list(f2.powers())
 
 
 @pytest.mark.parametrize(
@@ -81,7 +81,7 @@ def test_deterministic_construction():
 def test_tables_match_polynomial_loop(q):
     f = build_field(*as_prime_power(q))
     exp, descriptor = oracles.loop_field_tables(f.p, f.r)
-    assert f._exp == exp
+    assert tuple(f.powers()) == exp
     assert f.descriptor() == descriptor
 
 
@@ -115,16 +115,18 @@ def test_ring_axioms_exhaustive(p, r):
 
 def test_gf9_exponent_addition():
     f = build_field(3, 2)
+    exp = list(f.powers())
     # 3 + 7 = 10 = 2 mod 8
-    assert oracles.field_mul(f, f.exp(3), f.exp(7)) == f.exp(2)
+    assert oracles.field_mul(f, exp[3], exp[7]) == exp[2]
 
 
 def test_inverses():
-    # exp reads its index mod q - 1, so exp(-i) is the inverse of exp(i)
+    # omega^(-i) = omega^(q - 1 - i) is the inverse of omega^i
     for p, r in SMALL_FIELDS:
         f = build_field(p, r)
+        exp = list(f.powers())
         for i in range(f.q - 1):
-            assert oracles.field_mul(f, f.exp(i), f.exp(-i)) == 1
+            assert oracles.field_mul(f, exp[i], exp[-i]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +137,10 @@ def test_frobenius_fixes_zero_and_matches_dlog_scale():
     # in dlog coordinates Frobenius scales the exponent by p
     for p, r in SMALL_FIELDS:
         f = build_field(p, r)
+        exp = list(f.powers())
         assert oracles.field_pow(f, 0, p) == 0
         for i in range(f.q - 1):
-            assert oracles.field_pow(f, f.exp(i), p) == f.exp(p * i % (f.q - 1))
+            assert oracles.field_pow(f, exp[i], p) == exp[p * i % (f.q - 1)]
 
 
 def test_frobenius_iterated_r_times_is_identity():
@@ -173,32 +176,32 @@ def test_frobenius_is_a_field_automorphism():
 
 
 # ---------------------------------------------------------------------------
-# discrete logs: exp(i) is the element with dlog i
+# discrete logs: the i-th power in the walk is the element with dlog i
 # ---------------------------------------------------------------------------
 
 def test_dlog_examples():
     f5 = build_field(5, 1)
-    assert f5.exp(1) == f5.omega
-    assert f5.exp(0) == 1
-    assert f5.exp(2) == 4  # 2^2 = 4
-    assert f5.exp(-1) == 3  # 2 * 3 = 6 = 1 mod 5
+    exp = list(f5.powers())
+    assert exp[1] == f5.omega
+    assert exp == [1, 2, 4, 3]  # 2^2 = 4 and 2 * 3 = 6 = 1 mod 5
 
 
 def test_dlog_exp_inverse_bijection():
-    # exp maps Z_(q-1) onto the nonzero codes, so dlog is its inverse
+    # the walk maps Z_(q-1) onto the nonzero codes, so dlog is its inverse
     for p, r in SMALL_FIELDS:
         f = build_field(p, r)
-        assert sorted(f.exp(i) for i in range(f.q - 1)) == list(range(1, f.q))
+        assert sorted(f.powers()) == list(range(1, f.q))
 
 
 def test_exp_addition_random_pairs():
     rng = random.Random(123)
     for p, r in [(3, 2), (2, 4), (7, 2), (13, 1)]:
         f = build_field(p, r)
+        exp = list(f.powers())
         n = f.q - 1
         for _ in range(100):
             i, j = rng.randrange(n), rng.randrange(n)
-            assert oracles.field_mul(f, f.exp(i), f.exp(j)) == f.exp((i + j) % n)
+            assert oracles.field_mul(f, exp[i], exp[j]) == exp[(i + j) % n]
 
 
 def test_squares_are_even_dlogs():
@@ -206,5 +209,5 @@ def test_squares_are_even_dlogs():
     for p, r in [(3, 2), (5, 2), (7, 2), (3, 4), (11, 2), (13, 1)]:
         f = build_field(p, r)
         squares = {oracles.field_mul(f, x, x) for x in range(1, f.q)}
-        evens = {f.exp(2 * i) for i in range(f.q - 1)}
+        evens = set(list(f.powers())[::2])
         assert squares == evens

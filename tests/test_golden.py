@@ -9,6 +9,7 @@ import hashlib
 import pytest
 
 from rank3affine.cli import main
+from rank3affine.fields import FiniteField
 
 GOLDEN = {
     "lemma40-classes": (
@@ -79,9 +80,24 @@ for (name, fmt), digest in CONSTRUCT_DIGESTS.items():
         ["construct", *CONSTRUCTIONS[name], "--format", fmt], digest)
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN.values(), ids=GOLDEN.keys())
-def test_report_bytes_match_golden_sha256(argv, digest, tmp_path, capsys):
+def report_sha256(argv, tmp_path, capsys):
     report = tmp_path / "report"
     assert main(argv + ["--output", str(report)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN.values(), ids=GOLDEN.keys())
+def test_report_bytes_match_golden_sha256(argv, digest, tmp_path, capsys):
+    assert report_sha256(argv, tmp_path, capsys) == digest
+
+
+@pytest.mark.parametrize("name", ["theorem256", "classify81-json"])
+def test_verify_and_classify_never_walk_the_powers(name, tmp_path, capsys,
+                                                   monkeypatch):
+    def no_walk(self):
+        raise AssertionError("the powers of omega were walked")
+
+    monkeypatch.setattr(FiniteField, "powers", no_walk)
+    argv, digest = GOLDEN[name]
+    assert report_sha256(argv, tmp_path, capsys) == digest

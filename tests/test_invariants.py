@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import rank3affine
+from rank3affine import fields
 from rank3affine.errors import (BadVariant, FieldMismatch, IndexOutOfRange,
                                 InvariantViolation, ModulusOutOfRange,
                                 NotAUnit, NotPrimePower, Rank3Error)
@@ -73,12 +74,20 @@ def test_bad_arguments_raise_package_errors():
         assert isinstance(info.value, Rank3Error)
 
 
-def test_exp_table_collision_caught_by_build_cayley():
+def test_exp_table_collision_caught_by_build_cayley(monkeypatch):
     f = build_field(13, 1)
     conn = ConnectionSet(f, {0, 1, 6, 7})
     assert build_cayley(f, conn).indicator.bit_count() == 4
-    f._exp[1] = f._exp[0]
-    with pytest.raises(InvariantViolation):
+    walk = FiniteField.powers
+
+    def colliding(self):
+        # omega^1 comes out as omega^0, past the walk's own repeat check
+        codes = list(walk(self))
+        codes[1] = codes[0]
+        return iter(codes)
+
+    monkeypatch.setattr(FiniteField, "powers", colliding)
+    with pytest.raises(InvariantViolation, match="4 dlog indices .* 3 distinct"):
         build_cayley(f, conn)
 
 
@@ -87,7 +96,24 @@ def test_non_primitive_omega_raises_invariant_violation(monkeypatch, p, r):
     f = build_field(p, r)
     ell = prime_factors(f.q - 1)[0]
     # omega^ell has order (q - 1) / ell, so its powers repeat early
-    weak = f.exp(ell)
+    weak = list(f.powers())[ell]
     monkeypatch.setattr(FiniteField, "_find_omega", lambda self: weak)
+    g = FiniteField(p, r)
     with pytest.raises(InvariantViolation, match="omega has order"):
-        FiniteField(p, r)
+        list(g.powers())
+    # every nonzero element: the walk runs to its repeat inside build_cayley
+    with pytest.raises(InvariantViolation, match="omega has order"):
+        build_cayley(g, ConnectionSet(g, range(g.q - 1)))
+
+
+def test_omega_power_q_minus_1_checked_after_the_walk(monkeypatch):
+    # over the reducible X^2 the powers 1, X, X^2 = 0 of X are distinct, but
+    # X^3 = 0: only the check after the last power catches it, and
+    # build_cayley must run the walk that far
+    monkeypatch.setattr(fields, "_find_modulus", lambda p, r: (0, 0, 1))
+    monkeypatch.setattr(FiniteField, "_find_omega", lambda self: 2)
+    g = FiniteField(2, 2)
+    with pytest.raises(InvariantViolation, match=r"omega\^\(q-1\) != 1"):
+        list(g.powers())
+    with pytest.raises(InvariantViolation, match=r"omega\^\(q-1\) != 1"):
+        build_cayley(g, ConnectionSet(g, {0}))
