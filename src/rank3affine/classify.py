@@ -18,7 +18,6 @@ are the only possibilities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import (CapExceeded, CharCondition, DegenerateModulus,
                      DegreeCondition, InvariantViolation, NotPrime,
@@ -30,6 +29,7 @@ from .fields import FiniteField, build_field
 from .znaction import (AffineActionContext, Case1, Case2, LemmaCase,
                        OrbitPartition, Violation, case_to_json,
                        classify_partition, two_orbit_partitions_with_generators)
+from .values import Value
 
 DEFAULT_Q_CAP = 4096
 
@@ -47,12 +47,9 @@ def gammal1_context(field: FiniteField) -> AffineActionContext:
     return ctx
 
 
-@dataclass(frozen=True)
-class ClassifiedPartition:
-    partition: OrbitPartition
-    lemma_case: LemmaCase
-    family: FamilyLabel
-    shift: int
+class ClassifiedPartition(Value):
+    """An OrbitPartition with its lemma case, family label and shift."""
+    __slots__ = _fields = ("partition", "lemma_case", "family", "shift")
 
     def to_json(self, n: int | None = None) -> dict:
         """The report entry, led by the classes of Z_n when n is given.
@@ -70,11 +67,10 @@ class ClassifiedPartition:
         return doc
 
 
-@dataclass
-class ClassificationReport:
-    field: FiniteField
-    entries: list[ClassifiedPartition]
-    unmatched_count: int
+class ClassificationReport(Value):
+    """A field's ClassifiedPartitions; unlike other values, mutable."""
+    __slots__ = _fields = ("field", "entries", "unmatched_count")
+    __setattr__, __hash__ = object.__setattr__, None
 
     def families_present(self) -> list[str]:
         seen = set()
@@ -177,11 +173,12 @@ def verify_theorem(q_values, cap: int = DEFAULT_Q_CAP, sink=None) -> dict:
     """
     orders = []
     for q in sorted(set(q_values)):
+        # the cap first: trial division of a huge q would not end
+        if q > cap:
+            raise CapExceeded(f"q = {q} exceeds the classification cap {cap}")
         pr = as_prime_power(q)
         if pr is None:
             raise NotPrimePower(f"q = {q} is not a prime power")
-        if q > cap:
-            raise CapExceeded(f"q = {q} exceeds the classification cap {cap}")
         orders.append((q, *pr))
     fields_summary = []
     unmatched_total = 0

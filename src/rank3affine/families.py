@@ -16,37 +16,31 @@ construction; allow_directed=True skips the check for exploratory use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (BadVariant, CharCondition, DegreeCondition, EmptySet,
                      IndexOutOfRange, InvariantViolation, NotPrime,
                      NotSymmetric, OrderCondition)
 from .fields import FiniteField, is_prime, mult_order
+from .values import Value
 
 
 # ---------------------------------------------------------------------------
 # family labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Paley:
-    pass
+class Paley(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GeneralizedPaley:
-    ell: int
-    k: int
+class GeneralizedPaley(Value):
+    __slots__ = _fields = ("ell", "k")
 
 
-@dataclass(frozen=True)
-class Peisert:
-    variant: int
+class Peisert(Value):
+    __slots__ = _fields = ("variant",)
 
 
-@dataclass(frozen=True)
-class Unmatched:
-    pass
+class Unmatched(Value):
+    __slots__ = ()
 
 
 FamilyLabel = Paley | GeneralizedPaley | Peisert | Unmatched

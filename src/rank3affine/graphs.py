@@ -21,7 +21,6 @@ module is pure Python.
 from __future__ import annotations
 
 from base64 import b64encode
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Iterator
@@ -31,6 +30,7 @@ from .errors import (BadResidue, CapExceeded, Directed, FieldMismatch,
                      TooLarge)
 from .families import ConnectionSet
 from .fields import FiniteField
+from .values import Value
 
 DEFAULT_SRG_CAP = 1024
 
@@ -166,16 +166,13 @@ def _rows(field: FiniteField, first: int, a: int = 1) -> Iterator[int]:
 # strong regularity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SrgParams:
-    v: int
-    k: int
-    lam: int
-    mu: int
+class SrgParams(Value):
+    __slots__ = _fields = ("v", "k", "lam", "mu")
 
-    def __post_init__(self):
+    def __init__(self, v: int, k: int, lam: int, mu: int):
+        super().__init__(v, k, lam, mu)
         # standard feasibility identity for strongly regular graphs
-        if self.k * (self.k - self.lam - 1) != (self.v - self.k - 1) * self.mu:
+        if k * (k - lam - 1) != (v - k - 1) * mu:
             raise InfeasibleParameters(
                 f"infeasible parameter set {self.as_tuple()}")
 
@@ -186,10 +183,9 @@ class SrgParams:
         return {"v": self.v, "k": self.k, "lambda": self.lam, "mu": self.mu}
 
 
-@dataclass(frozen=True)
-class NotStronglyRegular:
-    witness: tuple[int, int]
-    reason: str
+class NotStronglyRegular(Value):
+    """The vertex pair whose common-neighbor count breaks regularity, and why."""
+    __slots__ = _fields = ("witness", "reason")
 
 
 def srg_params(g: CayleyGraph, cap: int = DEFAULT_SRG_CAP) -> SrgParams | NotStronglyRegular:

@@ -77,7 +77,6 @@ enumerates every unit and checks that its partitions are the subgroup's.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
@@ -85,6 +84,7 @@ from math import gcd
 from .errors import (CapExceeded, InvariantViolation, MalformedPartition,
                      ModulusOutOfRange)
 from .fields import is_prime, mult_order
+from .values import Value
 
 DEFAULT_N_CAP = 4096
 
@@ -106,12 +106,10 @@ def units(n: int) -> list[int]:
     return [a for a in range(1, n) if gcd(a, n) == 1]
 
 
-@dataclass(frozen=True)
-class AffineMapZn:
+class AffineMapZn(Value):
     """Element (t, s) of Z_n x| <alpha>, acting as u -> a^s * u + t."""
 
-    t: int
-    s: int
+    __slots__ = _fields = ("t", "s")
 
 
 class AffineActionContext:
@@ -160,8 +158,7 @@ def orbits(ctx: AffineActionContext, generators) -> list[frozenset]:
 # partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class OrbitPartition:
+class OrbitPartition(Value):
     """Two-class partition of Z_n, quotiented by its radical.
 
     m is the radical index, rad(O1) = rad(O2) = m Z_n, so both classes are
@@ -171,17 +168,16 @@ class OrbitPartition:
     divides.
     """
 
-    m: int
-    r1: frozenset
-    # found.update and verify_lemma's key comparison each hash every
-    # partition once per context
-    _hash: int | None = field(default=None, init=False, repr=False,
-                              compare=False)
+    _fields = ("m", "r1")
+    __slots__ = _fields + ("_hash",)
 
     def __hash__(self) -> int:
-        if self._hash is None:
+        # cached, as every context hashes its partitions; lazy, as r1 may be a set
+        try:
+            return self._hash
+        except AttributeError:
             object.__setattr__(self, "_hash", hash((self.m, self.r1)))
-        return self._hash
+            return self._hash
 
     def classes(self, n: int) -> tuple[list[int], list[int]]:
         """The two classes of Z_n, each ascending."""
@@ -256,7 +252,7 @@ def two_orbit_partitions_with_generators(
         parts, shifts = _radical_full_table(k, ctx.a % k)
         if parts:
             witnesses = map(_affine_map, shifts, repeat(s))
-            found.update(zip(parts, zip(repeat(AffineMapZn(k % ctx.n, 0)),
+            found.update(zip(parts, zip(repeat(_affine_map(k % ctx.n, 0)),
                                         witnesses)))
     return found
 
@@ -265,24 +261,20 @@ def two_orbit_partitions_with_generators(
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Case1:
+class Case1(Value):
     """O1 = shift + m Z_n with m prime; alpha transitive mod m."""
 
-    m: int
-    shift: int
+    __slots__ = _fields = ("m", "shift")
 
 
-@dataclass(frozen=True)
-class Case2:
+class Case2(Value):
     """m = 4, equal halves pairing residues {0, variant} vs {2, -variant}."""
 
-    variant: int
+    __slots__ = _fields = ("variant",)
 
 
-@dataclass(frozen=True)
-class Violation:
-    reason: str
+class Violation(Value):
+    __slots__ = _fields = ("reason",)
 
 
 LemmaCase = Case1 | Case2 | Violation

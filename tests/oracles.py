@@ -6,11 +6,13 @@ every unordered pair of group elements, and the graph6 decoder is written
 from the format description rather than by inverting the encoder.  The
 bitrow graph code (rows from digit-wise field additions, a pair scan, a
 bit-loop graph6 writer and a backtracking isomorphism test) is kept as the
-reference for the connection-set graph code, the polynomial-product table
-loop as the reference for the packed field tables, and the power walk as
-the reference for multiplicative orders.  Field sums in tests are taken on
-base-p digits and field products on coefficient vectors, and the powers of
-omega come from that loop, never from the field walk they check.
+reference for the connection-set graph code, trial division and the
+polynomial-power search as the reference for the field's modulus and omega,
+the polynomial-product table loop as the reference for the packed field
+tables, and the power walk as the reference for multiplicative orders.
+Field sums in tests are taken on base-p digits and field products on
+coefficient vectors, and the powers of omega come from that loop, never
+from the field walk they check.
 """
 
 from functools import lru_cache
@@ -18,7 +20,7 @@ from itertools import product
 from math import gcd
 
 from rank3affine.errors import EmptySet, NotAUnit
-from rank3affine.fields import _find_modulus, _poly_mul_mod
+from rank3affine.fields import _poly_mul_mod
 from rank3affine.graphs import NotStronglyRegular, SrgParams
 from rank3affine.znaction import AffineMapZn, OrbitPartition, divisors
 
@@ -447,6 +449,74 @@ def field_pow(field, x, e):
 
 
 # ---------------------------------------------------------------------------
+# field construction: trial division and polynomial powers
+# ---------------------------------------------------------------------------
+
+def _poly_mod(num, den, p):
+    """num mod den over GF(p) by long division, den monic; coefficient
+    lists low degree first.  The result may be shorter than deg den."""
+    num = list(num)
+    d = len(den) - 1
+    while len(num) > d:
+        c = num.pop()
+        for j in range(d):
+            num[len(num) - d + j] = (num[len(num) - d + j] - c * den[j]) % p
+    return num
+
+
+def trial_division_is_irreducible(poly, p):
+    """Whether no monic polynomial of degree 1 .. deg/2 divides poly."""
+    r = len(poly) - 1
+    return all(any(_poly_mod(poly, (*tail, 1), p))
+               for d in range(1, r // 2 + 1)
+               for tail in product(range(p), repeat=d))
+
+
+def trial_division_modulus(p, r):
+    """The first monic irreducible polynomial of degree r over GF(p), with
+    its lower coefficients in lexicographic order, low degree first."""
+    for tail in product(range(p), repeat=r):
+        poly = (*tail, 1)
+        if trial_division_is_irreducible(poly, p):
+            return poly
+    raise AssertionError(f"no irreducible polynomial of degree {r} over GF({p})")
+
+
+def _poly_pow_mod(base, e, modulus, p):
+    """base^e mod modulus by square-and-multiply, padded to deg modulus."""
+    r = len(modulus) - 1
+
+    def mul(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return _poly_mod([c % p for c in prod], modulus, p)
+
+    result = [1]
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return tuple(result) + (0,) * (r - len(result))
+
+
+def power_search_omega(p, r, modulus):
+    """The first coefficient vector, in lexicographic order, of order
+    q - 1: its (q - 1) / l-th power is not 1 for any prime l | q - 1."""
+    n = p ** r - 1
+    exponents = [n // l for l in range(2, n + 1)
+                 if n % l == 0 and all(l % d for d in range(2, l))]
+    one = (1,) + (0,) * (r - 1)
+    for cand in product(range(p), repeat=r):
+        if any(cand) and all(_poly_pow_mod(cand, e, modulus, p) != one
+                             for e in exponents):
+            return cand
+    raise AssertionError(f"no primitive element of GF({p}^{r})")
+
+
+# ---------------------------------------------------------------------------
 # field tables: one polynomial product per power of omega
 # ---------------------------------------------------------------------------
 
@@ -455,24 +525,21 @@ def loop_field_tables(p, r):
     """(exp, descriptor) of GF(p^r) by the polynomial-product loop, cached
     per (p, r).
 
-    omega is the first coefficient vector, in lexicographic order, whose
-    powers reach every nonzero element before returning to 1; exp[i] is the
-    code of omega^i.  Callers share the cached result and must not change
-    it.
+    The modulus comes from trial division and omega from the polynomial
+    power search; exp[i] is the code of omega^i, and the loop stops early
+    if omega^i returns to 1 before i = q - 1, so a non-primitive omega
+    shows as a short table.  Callers share the cached result and must not
+    change it.
     """
     q = p ** r
-    modulus = _find_modulus(p, r)
+    modulus = trial_division_modulus(p, r)
+    omega = power_search_omega(p, r, modulus)
     one = (1,) + (0,) * (r - 1)
-    for omega in product(range(p), repeat=r):
-        if not any(omega):
-            continue
-        exp, x = [], one
-        for _ in range(q - 1):
-            exp.append(_encode(p, x))
-            x = _poly_mul_mod(x, omega, modulus, p)
-            if x == one:
-                break
-        if len(exp) == q - 1 and x == one:
+    exp, x = [], one
+    for _ in range(q - 1):
+        exp.append(_encode(p, x))
+        x = _poly_mul_mod(x, omega, modulus, p)
+        if x == one:
             break
     descriptor = {"p": p, "r": r, "q": q, "modulus": list(modulus),
                   "omega": list(omega)}

@@ -217,3 +217,11 @@ def test_verify_theorem_small():
 def test_verify_theorem_rejects_non_prime_power():
     with pytest.raises(ValueError):
         verify_theorem([12])
+
+
+def test_verify_theorem_past_the_default_cap():
+    # every prime power in (4096, 16384], with no class arrays written
+    qs = [q for q in prime_powers_up_to(16384) if q > 4096]
+    summary = verify_theorem(qs, cap=16384)
+    assert summary["fields_checked"] == len(qs) == 1357
+    assert summary["unmatched_total"] == 0 and summary["all_matched"]

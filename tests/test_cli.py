@@ -270,6 +270,22 @@ def test_classify_cap_checked_before_building(capsys, monkeypatch):
         assert "CapExceeded" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "paley", "--p", "3", "--r", "30000000"],
+    ["construct", "--family", "paley",
+     "--p", "1000000000000000000000000000057", "--r", "1"],
+    ["verify", "--theorem", "--q", "1000000000000000000000000007"],
+], ids=["huge-r", "huge-p", "huge-q"])
+def test_huge_input_is_capped_before_any_number_theory(argv):
+    # p^r, a primality test of p or a factorisation of q would not end
+    done = subprocess.run([sys.executable, "-m", "rank3affine", *argv],
+                          env=SRC_ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: CapExceeded: ")
+
+
 def test_cap_failures_leave_no_report(capsys, tmp_path):
     f, g = tmp_path / "f", tmp_path / "g"
     assert run(capsys, "verify", "--theorem", "--q", "5", "--cap", "3",
@@ -404,7 +420,7 @@ def test_full_disk_mid_report_is_usage_error(capsys, tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# numpy is never loaded
+# numpy, dataclasses and inspect are never loaded
 # ---------------------------------------------------------------------------
 
 CONSTRUCT_PALEY13 = ["construct", "--family", "paley", "--p", "13", "--r", "1"]
@@ -430,8 +446,11 @@ def test_numpy_never_imported(argv, tmp_path):
         argv = argv + ["--output", str(tmp_path / "report")]
         lines += ["from rank3affine.cli import main",
                   f"assert main({argv!r}) == 0"]
-    lines.append("print('numpy' in sys.modules)")
+    # dataclasses alone, with the inspect it imports, costs every command
+    # several milliseconds of start-up
+    lines.append("print(*(name in sys.modules for name in "
+                 "('numpy', 'dataclasses', 'inspect')))")
     done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=SRC_ENV,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["False"] * 3

@@ -1,13 +1,15 @@
 import functools
 import random
+from itertools import product
 from math import gcd
 
 import pytest
 
 import oracles
+from rank3affine import fields
 from rank3affine.classify import as_prime_power, prime_powers_up_to
-from rank3affine.errors import (CapExceeded, DegreeOutOfRange, NotAUnit,
-                                NotPrime)
+from rank3affine.errors import (CapExceeded, DegreeOutOfRange,
+                                InvariantViolation, NotAUnit, NotPrime)
 from rank3affine.fields import build_field, mult_order
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (2, 6)]
@@ -58,6 +60,57 @@ def test_cap_exceeded():
         build_field(2, 21)
     # explicit override admits the same field
     assert build_field(2, 11, cap=2 ** 11).q == 2048
+    # the cap comes before the primality test of p (tests/test_cli.py runs
+    # the huge p and r that would not end otherwise); below it, and for
+    # p < 2 or r < 1, the argument checks keep their errors
+    with pytest.raises(CapExceeded):
+        build_field(4, 30)
+    with pytest.raises(NotPrime):
+        build_field(1, 30)
+    with pytest.raises(NotPrime):
+        build_field(4, 0)
+
+
+# ---------------------------------------------------------------------------
+# modulus and omega against trial division and polynomial powers
+# ---------------------------------------------------------------------------
+
+def test_rabin_test_agrees_with_trial_division():
+    # every monic polynomial of degree r over GF(p) with p^r <= 1024
+    checked = 0
+    for q in prime_powers_up_to(1024):
+        p, r = as_prime_power(q)
+        for tail in product(range(p), repeat=r):
+            poly = (*tail, 1)
+            assert (fields._is_irreducible(poly, p)
+                    == oracles.trial_division_is_irreducible(poly, p)), poly
+            checked += 1
+    assert checked == 87760
+
+
+@pytest.mark.parametrize("q", prime_powers_up_to(4096)
+                         + [2 ** r for r in range(13, 17)])
+def test_modulus_and_omega_match_the_search_oracles(q):
+    f = build_field(*as_prime_power(q))
+    modulus = oracles.trial_division_modulus(f.p, f.r)
+    assert f.modulus == modulus
+    assert f.coeffs(f.omega) == oracles.power_search_omega(f.p, f.r, modulus)
+
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (7, 2)])
+def test_no_irreducible_modulus_raises_invariant_violation(monkeypatch, p, r):
+    monkeypatch.setattr(fields, "_is_irreducible", lambda poly, p: False)
+    with pytest.raises(InvariantViolation, match="no monic irreducible"):
+        build_field(p, r)
+
+
+@pytest.mark.parametrize("p, r", [(13, 1), (2, 4), (3, 2)])
+def test_no_primitive_element_raises_invariant_violation(monkeypatch, p, r):
+    f = build_field(p, r)
+    # with q - 1 itself as the only exponent, every candidate's power is 1
+    monkeypatch.setattr(fields, "prime_factors", lambda n: [1])
+    with pytest.raises(InvariantViolation, match="no primitive element"):
+        f._find_omega()
 
 
 def test_modulus_has_no_root_for_extensions():

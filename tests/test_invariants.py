@@ -8,14 +8,18 @@ import pytest
 import rank3affine
 from rank3affine import fields
 from rank3affine.errors import (BadVariant, FieldMismatch, IndexOutOfRange,
-                                InvariantViolation, ModulusOutOfRange,
-                                NotAUnit, NotPrimePower, Rank3Error)
-from rank3affine.classify import verify_theorem
-from rank3affine.families import (ConnectionSet, paley_connection_set,
+                                InfeasibleParameters, InvariantViolation,
+                                ModulusOutOfRange, NotAUnit, NotPrimePower,
+                                Rank3Error)
+from rank3affine.classify import (ClassificationReport, ClassifiedPartition,
+                                  classify_field, verify_theorem)
+from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley,
+                                  Peisert, Unmatched, paley_connection_set,
                                   peisert_connection_set)
 from rank3affine.fields import FiniteField, build_field, prime_factors
-from rank3affine.graphs import build_cayley
-from rank3affine.znaction import AffineActionContext
+from rank3affine.graphs import NotStronglyRegular, SrgParams, build_cayley
+from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1,
+                                  Case2, OrbitPartition, Violation)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rank3affine"
 
@@ -56,6 +60,73 @@ def test_every_exported_name_resolves():
     missing = [name for name in rank3affine.__all__
                if not hasattr(rank3affine, name)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# value records
+# ---------------------------------------------------------------------------
+
+VALUES = [
+    Paley(), Unmatched(), GeneralizedPaley(3, 2), Peisert(variant=1),
+    Case1(m=2, shift=0), Case2(1), Violation("reason"), AffineMapZn(1, 0),
+    OrbitPartition(2, frozenset({0})), SrgParams(5, 2, 0, 1),
+    NotStronglyRegular((0, 1), "reason"),
+    ClassifiedPartition(OrbitPartition(2, frozenset({0})), Case1(2, 0),
+                        Paley(), 0),
+]
+
+
+def test_values_compare_by_type_and_fields():
+    assert Case2(1) != Peisert(1)
+    assert Paley() == Paley() and Paley() != Unmatched()
+    assert Case1(2, 0) == Case1(m=2, shift=0) != Case1(2, 1)
+    assert hash(Case1(2, 0)) == hash(Case1(m=2, shift=0))
+    assert repr(Case1(m=2, shift=0)) == "Case1(m=2, shift=0)"
+    assert repr(Paley()) == "Paley()"
+    # a set of residues is accepted unhashed, as tests build partitions
+    assert repr(OrbitPartition(4, {0, 1})) == "OrbitPartition(m=4, r1={0, 1})"
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_values_are_hashable_and_frozen(value):
+    assert hash(value) == hash(value)
+    assert value == value and len({value, value}) == 1
+    for name in type(value)._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_value_construction_checks_its_fields():
+    with pytest.raises(TypeError):
+        Case1(2)
+    with pytest.raises(TypeError):
+        Case1(2, 0, 1)
+    with pytest.raises(TypeError):
+        Case1(2, m=2)
+    with pytest.raises(TypeError):
+        Case1(m=2, shift=0, other=1)
+
+
+def test_infeasible_srg_parameters_raise():
+    with pytest.raises(InfeasibleParameters):
+        SrgParams(5, 2, 0, 3)
+    with pytest.raises(InfeasibleParameters):
+        SrgParams(v=5, k=2, lam=1, mu=1)
+
+
+def test_classification_report_stays_mutable_and_unhashable():
+    field = build_field(3, 2)
+    report = classify_field(field)
+    assert report == classify_field(field)
+    report.unmatched_count += 1
+    assert report.unmatched_count == 1
+    with pytest.raises(TypeError):
+        hash(report)
+    assert repr(ClassificationReport(build_field(5, 1), [], 0)) == (
+        "ClassificationReport(field=FiniteField(p=5, r=1), entries=[], "
+        "unmatched_count=0)")
 
 
 def test_bad_arguments_raise_package_errors():
