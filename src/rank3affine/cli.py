@@ -245,7 +245,9 @@ def cmd_verify(args) -> int:
         raise ModulusOutOfRange(
             f"--q-max {q_max} checks nothing: the theorem sweep starts "
             f"at q = 2")
-    qs = args.q or prime_powers_up_to(q_max)
+    # a prime lies in (cap, 2 cap] (Bertrand), so the list up to 2 cap holds
+    # the first q over the cap, whose error ends the sweep
+    qs = args.q or prime_powers_up_to(min(q_max, max(2 * args.cap, 2)))
     with _out_stream(args.output) as out:
         summary = verify_theorem(qs, cap=args.cap, sink=out)
     _note(f"theorem: {summary['fields_checked']} fields, "

@@ -19,6 +19,7 @@ Fields are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from typing import Iterator
@@ -44,8 +45,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
+@lru_cache(maxsize=None)
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n, ascending; each n is factored once."""
     out = []
     d = 2
     while d * d <= n:
@@ -56,14 +58,15 @@ def prime_factors(n: int) -> list[int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 def mult_order(x: int, modulus: int) -> int:
     """Multiplicative order of the unit x modulo modulus.
 
     The order divides phi(modulus): strip each prime of phi from it while x
-    to the remaining power is still 1.
+    to the remaining power is still 1.  Both modulus and phi are factored
+    once, by the cache of prime_factors.
     """
     if gcd(x, modulus) != 1:
         raise NotAUnit(f"{x} is not a unit mod {modulus}")

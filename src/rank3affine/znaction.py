@@ -72,6 +72,11 @@ reads a = 3 mod 4; when 4 | n and a = 3 mod 4, ord(a) is even, so every
 generator a^j has odd j and a^j = 3 mod 4 too.  verify_lemma therefore
 classifies and encodes once per subgroup, not once per unit; it still
 enumerates every unit and checks that its partitions are the subgroup's.
+
+A unit costs little beyond its dictionary of partitions: only k = 2, 4 and
+the odd primes p | n are visited, each p by one multiplicative order (phi
+factored once per modulus) and one C-level gather off the powers of a
+primitive root mod p, and the partitions, interned, hash by identity.
 """
 
 from __future__ import annotations
@@ -80,26 +85,15 @@ import json
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import (CapExceeded, InvariantViolation, MalformedPartition,
                      ModulusOutOfRange)
-from .fields import is_prime, mult_order
+from .fields import is_prime, mult_order, prime_factors
 from .values import Value
 
 DEFAULT_N_CAP = 4096
-
-
-@lru_cache(maxsize=None)
-def divisors(n: int) -> tuple[int, ...]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
 
 
 def units(n: int) -> list[int]:
@@ -163,21 +157,30 @@ class OrbitPartition(Value):
 
     m is the radical index, rad(O1) = rad(O2) = m Z_n, so both classes are
     unions of m-cosets.  r1 holds the residues mod m of the first class in
-    (size, smallest element) order; the second class has the complementary
-    residues.  The same object describes the partition for every n that m
-    divides.
+    (size, smallest element) order, as a frozenset; the second class has the
+    complementary residues.  The same object describes the partition for
+    every n that m divides: partitions are interned, one per (m, r1) for the
+    life of the process, so equality and hashing are identity, in C.
     """
 
-    _fields = ("m", "r1")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("m", "r1")
+    _interned: dict[tuple[int, frozenset], OrbitPartition] = {}
 
-    def __hash__(self) -> int:
-        # cached, as every context hashes its partitions; lazy, as r1 may be a set
+    def __new__(cls, m: int, r1) -> OrbitPartition:
+        key = m, frozenset(r1)
         try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.m, self.r1)))
-            return self._hash
+            return cls._interned[key]
+        except KeyError:
+            self = cls._interned[key] = object.__new__(cls)
+            Value.__init__(self, *key)
+            return self
+
+    # __new__ set the fields; the C slots skip a Python call per construction
+    __init__ = object.__init__
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __repr__(self) -> str:
+        return f"OrbitPartition(m={self.m!r}, r1={set(self.r1)!r})"
 
     def classes(self, n: int) -> tuple[list[int], list[int]]:
         """The two classes of Z_n, each ascending."""
@@ -198,39 +201,60 @@ class OrbitPartition(Value):
 # two-orbit subgroup enumeration
 # ---------------------------------------------------------------------------
 
-_EVENS = OrbitPartition(2, frozenset({0}))
-# the cycles {0, t} and {2, 2 + t} of u -> 3u + t on Z_4, for t = 1 and 3
-_QUARTIC = (OrbitPartition(4, frozenset({0, 1})),
-            OrbitPartition(4, frozenset({0, 3})))
+@lru_cache(maxsize=None)
+def _radical_moduli(n: int) -> tuple[int, ...]:
+    # the k | n with a table (see the module docstring): 2, 4 and the odd
+    # primes, ascending
+    return tuple(sorted(prime_factors(n) + ((4,) if n % 4 == 0 else ())))
 
 
 @lru_cache(maxsize=None)
-def _singletons(p: int) -> tuple[OrbitPartition, ...]:
-    # the partitions {r + pZ, rest} of a prime p, by r; one shared object
-    # each, as they recur in every context n that p divides
-    return tuple(OrbitPartition(p, frozenset({r})) for r in range(p))
+def _prime_cycle(p: int) -> tuple[list[int], tuple, itemgetter]:
+    # for an odd prime p and its least primitive root g: the discrete logs
+    # log[g^j] = j, the partitions {g^j + pZ, rest} by j in [0, 2p - 2), and
+    # the getter of the positions log 1, ..., log(p - 1)
+    g = next(c for c in range(2, p) if mult_order(c, p) == p - 1)
+    powers = [pow(g, j, p) for j in range(p - 1)]
+    log = [0] * p
+    for j, x in enumerate(powers):
+        log[x] = j
+    ring = tuple(OrbitPartition(p, (x,)) for x in powers)
+    return log, ring + ring, itemgetter(*log[1:])
 
 
 def _radical_full_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
-                                                 tuple[int, ...]]:
+                                                 Sequence[int]]:
     """Partitions of Z_k with radical k into the two cycles of some map
     u -> b*u + t, with the least witness t of each, ordered by t (see the
     module docstring for why no other (k, b) has one)."""
     if k == 2:
-        return (_EVENS,), (0,)
+        return (OrbitPartition(2, (0,)),), (0,)
     if k == 4 and b == 3:
-        return _QUARTIC, (1, 3)
-    if k % 2 and is_prime(k) and mult_order(b, k) == k - 1:
-        # the class of t is the fixed point t / (1 - b) mod k
-        inv, singles = pow(1 - b, -1, k), _singletons(k)
-        return tuple(singles[t * inv % k] for t in range(k)), tuple(range(k))
+        # the cycles {0, t} and {2, 2 + t} of u -> 3u + t, for t = 1 and 3
+        return (OrbitPartition(4, (0, 1)), OrbitPartition(4, (0, 3))), (1, 3)
+    # b has order k - 1 only for prime k, as the order divides phi(k)
+    if k % 2 and mult_order(b, k) == k - 1:
+        # the class of t is the fixed point t / (1 - b): 0 for t = 0, else
+        # g^(log t + j) with j = -log(1 - b), read off the ring
+        log, ring, at_logs = _prime_cycle(k)
+        j = -log[(1 - b) % k] % (k - 1)
+        return ((OrbitPartition(k, (0,)),) + at_logs(ring[j:j + k - 1]),
+                range(k))
     return (), ()
 
 
 @lru_cache(maxsize=None)
 def _affine_map(t: int, s: int) -> AffineMapZn:
-    # one shared object per witness: all contexts n <= 400 use 398 of them
+    # one object per map, shared by the witness pairs of every table
     return AffineMapZn(t, s)
+
+
+@lru_cache(maxsize=None)
+def _witness_pairs(shifts: Sequence[int], translation: int, s: int) -> tuple:
+    # the pairs ((translation, 0), (t, s)) by t in shifts; translation is
+    # k mod n, so a table has two, shared by every unit of every context
+    return tuple(zip(repeat(_affine_map(translation, 0)),
+                     map(_affine_map, shifts, repeat(s))))
 
 
 def two_orbit_partitions_with_generators(
@@ -248,12 +272,10 @@ def two_orbit_partitions_with_generators(
         raise CapExceeded(f"n = {ctx.n} exceeds the enumeration cap {cap}")
     found: dict[OrbitPartition, tuple[AffineMapZn, AffineMapZn]] = {}
     s = 1 % ctx.m_ord
-    for k in divisors(ctx.n):
+    for k in _radical_moduli(ctx.n):
         parts, shifts = _radical_full_table(k, ctx.a % k)
         if parts:
-            witnesses = map(_affine_map, shifts, repeat(s))
-            found.update(zip(parts, zip(repeat(_affine_map(k % ctx.n, 0)),
-                                        witnesses)))
+            found.update(zip(parts, _witness_pairs(shifts, k % ctx.n, s)))
     return found
 
 

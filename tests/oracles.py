@@ -22,7 +22,21 @@ from math import gcd
 from rank3affine.errors import EmptySet, NotAUnit
 from rank3affine.fields import _poly_mul_mod
 from rank3affine.graphs import NotStronglyRegular, SrgParams
-from rank3affine.znaction import AffineMapZn, OrbitPartition, divisors
+from rank3affine.znaction import AffineMapZn, OrbitPartition
+
+
+@lru_cache(maxsize=None)
+def divisors(n):
+    """Divisors of n, ascending."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return tuple(small + large[::-1])
 
 
 def brute_srg_params(neighbor_sets):

@@ -286,6 +286,21 @@ def test_huge_input_is_capped_before_any_number_theory(argv):
     assert done.stderr.startswith("error: CapExceeded: ")
 
 
+def test_huge_q_max_fails_on_the_first_prime_power_over_the_cap():
+    # listing every prime power up to 10^11 would not end; the sweep stops at
+    # the same first q over the cap as a --q-max just above it
+    errors = []
+    for q_max in ("9000", "100000000000"):
+        done = subprocess.run(
+            [sys.executable, "-m", "rank3affine", "verify", "--theorem",
+             "--q-max", q_max],
+            env=SRC_ENV, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        errors.append(done.stderr)
+    assert errors == ["error: CapExceeded: q = 4099 exceeds the "
+                      "classification cap 4096\n"] * 2
+
+
 def test_cap_failures_leave_no_report(capsys, tmp_path):
     f, g = tmp_path / "f", tmp_path / "g"
     assert run(capsys, "verify", "--theorem", "--q", "5", "--cap", "3",

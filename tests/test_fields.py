@@ -10,7 +10,7 @@ from rank3affine import fields
 from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.errors import (CapExceeded, DegreeOutOfRange,
                                 InvariantViolation, NotAUnit, NotPrime)
-from rank3affine.fields import build_field, mult_order
+from rank3affine.fields import build_field, is_prime, mult_order
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (2, 6)]
 
@@ -20,13 +20,18 @@ SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), 
 # ---------------------------------------------------------------------------
 
 def test_mult_order_matches_power_walk():
-    for m in range(1, 301):
-        for x in range(m):
-            if gcd(x, m) == 1:
-                assert mult_order(x, m) == oracles.loop_mult_order(x, m), (x, m)
-            else:
+    moduli = [*range(1, 301), *(p for p in range(301, 1000) if is_prime(p))]
+    walked = {(x, m): oracles.loop_mult_order(x, m) if gcd(x, m) == 1 else None
+              for m in moduli for x in range(m)}
+    # m and phi(m) are factored once each: the second pass reads the cached
+    # factors, and must give the same orders and the same errors
+    for _ in range(2):
+        for (x, m), order in walked.items():
+            if order is None:
                 with pytest.raises(NotAUnit):
                     mult_order(x, m)
+            else:
+                assert mult_order(x, m) == order, (x, m)
 
 
 # ---------------------------------------------------------------------------

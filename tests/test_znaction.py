@@ -172,9 +172,10 @@ def test_tables_match_per_shift_scan():
     nonempty = 0
     for k in range(2, 91):
         for b in units(k):
-            table = _radical_full_table(k, b)
-            assert table == radical_full_oracle(k, b), (k, b)
-            nonempty += bool(table[0])
+            parts, shifts = _radical_full_table(k, b)
+            # an odd prime's witnesses are a range, the others a tuple
+            assert (parts, tuple(shifts)) == radical_full_oracle(k, b), (k, b)
+            nonempty += bool(parts)
     # k = 2, (k, b) = (4, 3), and the phi(p - 1) primitive roots of each odd
     # prime p < 91
     assert nonempty == 361
@@ -248,6 +249,32 @@ def test_orbit_partition_classes_and_sort_key():
     singleton = OrbitPartition(5, frozenset({2}))
     assert singleton.classes(5) == ([2], [0, 1, 3, 4])
     assert singleton.sort_key(5) < part.sort_key(8)
+
+
+def test_orbit_partitions_are_interned():
+    # one object per (m, residues), whatever iterable the residues come in
+    part = OrbitPartition(4, frozenset({0, 3}))
+    assert OrbitPartition(4, {0, 3}) is part
+    assert OrbitPartition(4, (3, 0)) is part
+    assert OrbitPartition(m=4, r1=[0, 3]) is part
+    assert part.r1 == frozenset({0, 3}) and type(part.r1) is frozenset
+    # equality and hashing are object identity, in C
+    assert type(part).__eq__ is object.__eq__
+    assert type(part).__hash__ is object.__hash__
+    others = [OrbitPartition(4, {0, 1}), OrbitPartition(8, {0, 3}),
+              OrbitPartition(2, {0}), OrbitPartition(3, {0})]
+    assert len({part, *others}) == 5
+    assert all(part != other for other in others)
+    with pytest.raises(TypeError):
+        OrbitPartition(4)
+
+
+def test_enumerated_partitions_are_the_constructed_objects():
+    for n in range(2, 61):
+        for a in units(n):
+            for part in two_orbit_partitions_with_generators(
+                    AffineActionContext(n, a)):
+                assert OrbitPartition(part.m, set(part.r1)) is part, (n, a)
 
 
 def test_classify_examples():
