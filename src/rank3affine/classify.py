@@ -13,11 +13,19 @@ shift of the connection set, hence a graph isomorphism), and a case-2
 first class has residues {0, variant} mod 4, the Peisert set itself.
 Together this checks that the Paley, generalized Paley and Peisert sets
 are the only possibilities.
+
+The theorem report holds both classes of every partition, about q integers
+per partition.  verify_theorem streams each field's document as
+ClassificationReport.dumps: the class arrays come as text from
+OrbitPartition.classes_json, spliced into json.dumps of the rest, so the
+bytes are those of json.dumps(report.to_json()) without a Python step or
+an int per class element.  The digit strings they are joined from are
+shared and grow to the largest field written, so peak memory is bounded
+by one field's strings, not by the sum of q over the sweep.  to_json, with
+the classes as lists, serves classify's indented report and the tests.
 """
 
 from __future__ import annotations
-
-import json
 
 from .errors import (CapExceeded, CharCondition, DegenerateModulus,
                      DegreeCondition, InvariantViolation, NotPrime,
@@ -28,7 +36,8 @@ from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
 from .fields import FiniteField, build_field
 from .znaction import (AffineActionContext, Case1, Case2, LemmaCase,
                        OrbitPartition, Violation, case_to_json,
-                       classify_partition, two_orbit_partitions_with_generators)
+                       classify_partition, json_splice,
+                       two_orbit_partitions_with_generators)
 from .values import Value
 
 DEFAULT_Q_CAP = 4096
@@ -79,18 +88,28 @@ class ClassificationReport(Value):
                 seen.add(family_key(e.family))
         return sorted(seen)
 
-    def to_json(self) -> dict:
+    def _frame(self) -> tuple[dict, dict]:
+        # the keys of the report before "partitions", and those after it
         desc = self.field.descriptor()
+        return ({"q": desc["q"], "p": desc["p"], "r": desc["r"], "field": desc},
+                {"families": self.families_present(),
+                 "unmatched": self.unmatched_count})
+
+    def to_json(self) -> dict:
+        head, tail = self._frame()
         n = self.field.q - 1
-        return {
-            "q": desc["q"],
-            "p": desc["p"],
-            "r": desc["r"],
-            "field": desc,
-            "partitions": [e.to_json(n) for e in self.entries],
-            "families": self.families_present(),
-            "unmatched": self.unmatched_count,
-        }
+        return {**head, "partitions": [e.to_json(n) for e in self.entries],
+                **tail}
+
+    def dumps(self) -> str:
+        """json.dumps(self.to_json()), byte for byte, with each entry's
+        classes spliced in as text from OrbitPartition.classes_json."""
+        head, tail = self._frame()
+        n = self.field.q - 1
+        entries = ", ".join(
+            json_splice({}, "classes", e.partition.classes_json(n), e.to_json())
+            for e in self.entries)
+        return json_splice(head, "partitions", "[" + entries + "]", tail)
 
 
 def family_key(label: FamilyLabel) -> str:
@@ -196,7 +215,7 @@ def verify_theorem(q_values, cap: int = DEFAULT_Q_CAP, sink=None) -> dict:
             "unmatched": report.unmatched_count,
         })
         if sink:
-            sink.write(("" if first else ",\n") + json.dumps(report.to_json()))
+            sink.write(("" if first else ",\n") + report.dumps())
             first = False
     summary = {
         "fields": fields_summary,

@@ -193,10 +193,12 @@ def cmd_classify(args) -> int:
         if args.format == "text":
             out.write(f"GF({field.q}): {len(report.entries)} two-orbit "
                       f"partition(s), unmatched {report.unmatched_count}\n")
+            n = field.q - 1
             for e in report.entries:
-                c1, c2 = e.partition.classes(field.q - 1)
+                # O1 is the union of len(r1) cosets of m Z_n
+                size = len(e.partition.r1) * (n // e.partition.m)
                 doc = e.to_json()
-                out.write(f"  |O1|={len(c1)} |O2|={len(c2)} "
+                out.write(f"  |O1|={size} |O2|={n - size} "
                           f"case={json.dumps(doc['lemma_case'])} "
                           f"family={json.dumps(doc['family'])} "
                           f"shift={e.shift}\n")

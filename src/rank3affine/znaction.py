@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import itemgetter
 from typing import Sequence
@@ -161,10 +161,18 @@ class OrbitPartition(Value):
     complementary residues.  The same object describes the partition for
     every n that m divides: partitions are interned, one per (m, r1) for the
     life of the process, so equality and hashing are identity, in C.
+
+    Reports encode the classes of Z_n as text, through classes_json: the
+    bytes of json.dumps(list(classes(n))), joined from one shared list of
+    the decimal strings of 0, ..., n - 1 by C-level slices and masks, with
+    no int list and no Python step per element.  The list grows to the
+    largest n written and never shrinks, so peak memory is that of one
+    field's strings, whatever the number of fields or partitions written.
     """
 
     __slots__ = _fields = ("m", "r1")
     _interned: dict[tuple[int, frozenset], OrbitPartition] = {}
+    _digits: list[str] = []
 
     def __new__(cls, m: int, r1) -> OrbitPartition:
         key = m, frozenset(r1)
@@ -192,9 +200,41 @@ class OrbitPartition(Value):
             (c1 if mark[x % self.m] else c2).append(x)
         return c1, c2
 
+    def classes_json(self, n: int) -> str:
+        """json.dumps(list(self.classes(n))), byte for byte: the classes are
+        gathered from _digits, str(i) for every i below the largest n written
+        so far, by a stride for m = 2 and by the residue mask repeated n / m
+        times (and its complement) otherwise."""
+        digits = self._digits
+        if len(digits) < n:
+            # a longer copy replaces the list, so no reader sees it change
+            digits = digits + list(map(str, range(len(digits), n)))
+            OrbitPartition._digits = digits
+        if self.m == 2:
+            c = next(iter(self.r1))
+            c1, c2 = digits[c:n:2], digits[1 - c:n:2]
+        else:
+            mask = bytearray(self.m)
+            for x in self.r1:
+                mask[x] = 1
+            mask *= n // self.m
+            c1 = compress(digits, mask)
+            c2 = compress(digits, mask.translate(_COMPLEMENT))
+        return "[[" + ", ".join(c1) + "], [" + ", ".join(c2) + "]]"
+
     def sort_key(self, n: int):
         """Report order on Z_n: first-class size, then m, then residues."""
         return len(self.r1) * (n // self.m), self.m, sorted(self.r1)
+
+
+_COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def json_splice(head: dict, key: str, raw: str, tail: dict) -> str:
+    """json.dumps({**head, key: value, **tail}), byte for byte, where key is
+    a plain name and raw is json.dumps(value): the value goes in as text."""
+    text = (json.dumps(head)[:-1] + ", " if head else "{") + f'"{key}": {raw}'
+    return text + (", " + json.dumps(tail)[1:] if tail else "}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +391,8 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     it; partition entries carry the exact compact descriptors (m and shift,
     or variant), from which the classes are reconstructible, plus the
     literal class arrays when include_classes is set (they can be very
-    large for prime n).
+    large for prime n).  Class arrays, there and in the violation entries,
+    are spliced in as text from OrbitPartition.classes_json.
 
     Classification and encoding are done once per cyclic subgroup <a> of
     Z_n^*, not once per unit: X = Z_n x| <alpha> depends on a only through
@@ -390,13 +431,19 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                         counts[2] += 1
                         bad.append((part, case.reason))
                     if include_classes:
-                        entry["classes"] = list(part.classes(n))
+                        entry = json_splice(entry, "classes",
+                                            part.classes_json(n), {})
                     entries.append(entry)
+                totals = {"case1": counts[0], "case2": counts[1],
+                          "violations": counts[2]}
                 # the document minus its opening brace: the per-unit header
                 # completes it byte for byte as json.dumps would
-                tail = json.dumps({
-                    "partitions": entries, "case1": counts[0],
-                    "case2": counts[1], "violations": counts[2]})[1:]
+                if include_classes:
+                    tail = json_splice({}, "partitions",
+                                       "[" + ", ".join(entries) + "]",
+                                       totals)[1:]
+                else:
+                    tail = json.dumps({"partitions": entries, **totals})[1:]
                 # a is the first unit of <a>; the others are the a^j with
                 # gcd(j, ord a) = 1
                 x = a
@@ -409,12 +456,7 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                 raise InvariantViolation(
                     f"n = {n}: a = {a} has other two-orbit partitions than "
                     f"a generator of the same subgroup <a>")
-            for part, reason in bad:
-                violations.append({
-                    "n": n, "a": a,
-                    "classes": list(part.classes(n)),
-                    "reason": reason,
-                })
+            violations += [(n, a, part, reason) for part, reason in bad]
             contexts += 1
             total += len(found)
             if sink:
@@ -426,10 +468,15 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
         "contexts_checked": contexts,
         "partitions_checked": total,
         "violation_count": len(violations),
-        "violations": violations,
+        "violations": [{"n": n, "a": a, "classes": list(part.classes(n)),
+                        "reason": reason}
+                       for n, a, part, reason in violations],
     }
     if sink:
         sink.write('\n], "partitions_checked": %d, "violation_count": %d, '
-                   '"violations": %s}\n'
-                   % (total, len(violations), json.dumps(violations)))
+                   '"violations": [%s]}\n'
+                   % (total, len(violations), ", ".join(
+                       json_splice({"n": n, "a": a}, "classes",
+                                   part.classes_json(n), {"reason": reason})
+                       for n, a, part, reason in violations)))
     return summary

@@ -174,6 +174,21 @@ def test_partitions_invariant_under_witness_subgroups():
             assert classes == [frozenset(c) for c in part.classes(ctx.n)]
 
 
+def test_streamed_theorem_documents_match_the_list_encoding():
+    # field by field, the stream (classes spliced in as text) against
+    # json.dumps of the report with its classes as lists, the reference
+    qs = prime_powers_up_to(4096)
+    buf = io.StringIO()
+    verify_theorem(qs, sink=buf)
+    lines = buf.getvalue().split("\n")
+    assert lines[0] == '{"fields": [' and lines[-1] == ""
+    docs = [line.removesuffix(",") for line in lines[1:-2]]
+    assert len(docs) == len(qs)
+    for q, doc in zip(qs, docs):
+        report = classify_field(build_field(*as_prime_power(q)))
+        assert doc == json.dumps(report.to_json()), q
+
+
 def test_report_json_schema():
     doc = classify_field(build_field(3, 2)).to_json()
     assert {"q", "p", "r", "field", "partitions", "families", "unmatched"} <= set(doc)

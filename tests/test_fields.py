@@ -94,7 +94,8 @@ def test_rabin_test_agrees_with_trial_division():
 
 
 @pytest.mark.parametrize("q", prime_powers_up_to(4096)
-                         + [2 ** r for r in range(13, 17)])
+                         + [2 ** r for r in range(13, 17)]
+                         + [p * p for p in range(67, 256) if is_prime(p)])
 def test_modulus_and_omega_match_the_search_oracles(q):
     f = build_field(*as_prime_power(q))
     modulus = oracles.trial_division_modulus(f.p, f.r)
@@ -115,6 +116,15 @@ def test_no_primitive_element_raises_invariant_violation(monkeypatch, p, r):
     # with q - 1 itself as the only exponent, every candidate's power is 1
     monkeypatch.setattr(fields, "prime_factors", lambda n: [1])
     with pytest.raises(InvariantViolation, match="no primitive element"):
+        f._find_omega()
+
+
+def test_norm_off_gf_p_raises_invariant_violation():
+    # over the reducible X^2 - 1 = (X - 1)(X + 1), the "norm" (1 + X)^4 of
+    # the first unit that is not a constant is 2 + 2X, not in GF(3)
+    f = build_field(3, 2)
+    f.modulus = (2, 0, 1)
+    with pytest.raises(InvariantViolation, match="norm"):
         f._find_omega()
 
 

@@ -9,6 +9,7 @@ import oracles
 from rank3affine.errors import (CapExceeded, EmptySet, InvariantViolation,
                                MalformedPartition)
 from rank3affine.classify import as_prime_power, prime_powers_up_to
+from rank3affine.fields import is_prime
 import rank3affine.znaction as znaction
 from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
                                   OrbitPartition, Violation, _radical_full_table,
@@ -251,6 +252,38 @@ def test_orbit_partition_classes_and_sort_key():
     assert singleton.sort_key(5) < part.sort_key(8)
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_classes_json_matches_the_list_encoding(monkeypatch, order):
+    # every partition shape the enumerator makes: m = 2 with either residue,
+    # m = 4 with variant 1 or 3, and each shift of each odd prime m < 50, at
+    # every n <= 240 that m divides; ascending n grows the digit list on
+    # each call, descending n reads a list longer than n
+    monkeypatch.setattr(OrbitPartition, "_digits", [])
+    shapes = [OrbitPartition(2, {0}), OrbitPartition(2, {1}),
+              OrbitPartition(4, {0, 1}), OrbitPartition(4, {0, 3})]
+    odd_primes = [m for m in range(3, 50, 2) if is_prime(m)]
+    shapes += [OrbitPartition(m, {c}) for m in odd_primes for c in range(m)]
+    checked = 0
+    for part in shapes:
+        ns = range(part.m, 241, part.m)
+        for n in (ns if order == "ascending" else reversed(ns)):
+            assert part.classes_json(n) == json.dumps(list(part.classes(n))), \
+                (part, n)
+            checked += 1
+    assert len(OrbitPartition._digits) == 240
+    assert checked == 2 * 120 + 2 * 60 + sum(m * (240 // m)
+                                             for m in odd_primes)
+
+
+@pytest.mark.parametrize("head, tail", [
+    ({}, {}), ({"n": 4}, {}), ({}, {"reason": "x"}),
+    ({"n": 4, "a": 3}, {"case1": 1, "partitions": []})])
+def test_json_splice_matches_json_dumps(head, tail):
+    value = [[0, 2], [1, 3]]
+    assert (znaction.json_splice(head, "classes", json.dumps(value), tail)
+            == json.dumps({**head, "classes": value, **tail}))
+
+
 def test_orbit_partitions_are_interned():
     # one object per (m, residues), whatever iterable the residues come in
     part = OrbitPartition(4, frozenset({0, 3}))
@@ -417,6 +450,9 @@ def test_verify_lemma_expands_shared_violations_per_unit(monkeypatch):
     summary = verify_lemma(16, sink=buf)
     doc = json.loads(buf.getvalue())
     assert summary["violations"] == doc["violations"] == expected
+    # the streamed entries, classes spliced in as text, are the list form's
+    assert buf.getvalue().endswith(
+        '"violations": %s}\n' % json.dumps(expected))
     assert summary["violation_count"] == doc["violation_count"] == 8
     assert sum(c["violations"] for c in doc["contexts"]) == 8
     for c in doc["contexts"]:
