@@ -27,6 +27,8 @@ the classes as lists, serves classify's indented report and the tests.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import (CapExceeded, CharCondition, DegenerateModulus,
                      DegreeCondition, InvariantViolation, NotPrime,
                      NotPrimePower, OrderCondition)
@@ -122,6 +124,14 @@ def family_key(label: FamilyLabel) -> str:
     return "unmatched"
 
 
+@lru_cache(maxsize=8)
+def _vls_label(field: FiniteField, ell: int) -> FamilyLabel:
+    # the label of the index-ell subgroup depends on the field and ell
+    # alone; report order keeps one ell's partitions together, so a field
+    # builds each of its subgroups once, and a few entries are kept
+    return vls_connection_set(field, ell, allow_directed=True).label
+
+
 def _match_family(field: FiniteField, case: LemmaCase) -> tuple[FamilyLabel, int]:
     """The family the lemma case points at, if GF(q) meets its preconditions.
 
@@ -132,8 +142,7 @@ def _match_family(field: FiniteField, case: LemmaCase) -> tuple[FamilyLabel, int
         if isinstance(case, Case1):
             if case.m == 2:
                 return Paley(), case.shift
-            conn = vls_connection_set(field, case.m, allow_directed=True)
-            return conn.label, case.shift
+            return _vls_label(field, case.m), case.shift
         if isinstance(case, Case2):
             return peisert_connection_set(field, case.variant).label, 0
     except (NotPrime, OrderCondition, DegreeCondition, CharCondition):

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -83,11 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _out_stream(path: str | None):
     """Stdout, or a temp file beside path that replaces path on a normal
     return and is removed on an exception, so no partial report is left.
-    A failed write (a closed pipe, a full disk) raises OutputNotWritable."""
+    A path that exists and is not a regular file (a FIFO, a device, a link
+    to one) is written in place instead, so it is never replaced by a
+    regular file.  A failed write (a closed pipe, a full disk) raises
+    OutputNotWritable."""
     try:
         if not path:
             yield sys.stdout
             sys.stdout.flush()
+            return
+        if _is_special(path):
+            with open(path, "w", encoding="ascii") as fh:
+                yield fh
             return
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".rank3affine-", suffix=".tmp")
@@ -109,6 +117,16 @@ def _out_stream(path: str | None):
             os.close(devnull)
         raise OutputNotWritable(
             f"cannot write {path or 'stdout'}: {exc.strerror}") from None
+
+
+def _is_special(path: str) -> bool:
+    # exists, after links, and is neither a regular file nor a directory
+    # (os.replace refuses a directory, as it should)
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return False
+    return not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
 
 
 def _note(msg: str) -> None:

@@ -81,6 +81,16 @@ def mult_order(x: int, modulus: int) -> int:
     return order
 
 
+def is_primitive_root(x: int, p: int) -> bool:
+    """Whether the unit x generates Z_p^*, for a prime p: no x^((p-1)/l)
+    is 1 for a prime l | p - 1.  One pow per prime of p - 1, whose factors
+    are cached, and no order search."""
+    for l in prime_factors(p - 1):
+        if pow(x, (p - 1) // l, p) == 1:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p); coefficient tuples are low degree first
 # ---------------------------------------------------------------------------

@@ -69,14 +69,23 @@ every generator a^j of <a> (gcd(j, ord a) = 1) gives the same group X, so
 the same two-orbit subgroups and partitions.  The verdicts agree as well.
 Case 1 reads the order of a mod m, which is the order of <a mod m>.  Case 2
 reads a = 3 mod 4; when 4 | n and a = 3 mod 4, ord(a) is even, so every
-generator a^j has odd j and a^j = 3 mod 4 too.  verify_lemma therefore
-classifies and encodes once per subgroup, not once per unit; it still
-enumerates every unit and checks that its partitions are the subgroup's.
+generator a^j has odd j and a^j = 3 mod 4 too.  For an odd prime p the
+verdict reads only p, the number of residues and a mod p, so the p
+singletons, one translation class, share one verdict.
 
-A unit costs little beyond its dictionary of partitions: only k = 2, 4 and
-the odd primes p | n are visited, each p by one multiplicative order (phi
-factored once per modulus) and one C-level gather off the powers of a
-primitive root mod p, and the partitions, interned, hash by identity.
+verify_lemma works at three levels.  Per subgroup <a>: one walk a, a^2,
+..., 1, which gives ord(a) to every generator, so no unit computes an
+order, and one encoding of the partitions, listed by the table layout of
+n (odd primes descending, then k = 2, then k = 4), which is report order
+with no sort.  Per translation class: an odd prime's singletons are
+classified at residue 0, and a case 1 there is written as one string
+cached per p; the k = 2 and k = 4 partitions, and any other verdict, are
+classified one by one.  Per unit: its own enumeration, which must give
+the subgroup's partitions, its own header and its own violations.  A
+unit's enumeration visits only k = 2, 4 and the odd primes p | n, each p
+by one primitive-root test (a pow per prime of p - 1, factored once) and
+one C-level gather off the powers of a primitive root mod p, and the
+partitions, interned, hash by identity.
 """
 
 from __future__ import annotations
@@ -90,7 +99,7 @@ from typing import Sequence
 
 from .errors import (CapExceeded, InvariantViolation, MalformedPartition,
                      ModulusOutOfRange)
-from .fields import is_prime, mult_order, prime_factors
+from .fields import is_prime, is_primitive_root, mult_order, prime_factors
 from .values import Value
 
 DEFAULT_N_CAP = 4096
@@ -109,12 +118,21 @@ class AffineMapZn(Value):
 class AffineActionContext:
     """Immutable context (n, a): alpha = multiplication by a on Z_n."""
 
+    __slots__ = ("n", "a", "m_ord")
+
     def __init__(self, n: int, a: int):
         if n < 2:
             raise ModulusOutOfRange(f"modulus n = {n} must be >= 2")
         self.n = n
         self.a = a % n
         self.m_ord = mult_order(self.a, n)  # raises NotAUnit
+
+    @classmethod
+    def _of_order(cls, n: int, a: int, m_ord: int) -> AffineActionContext:
+        # a unit a in [1, n) whose order m_ord is known, from a walk of <a>
+        self = object.__new__(cls)
+        self.n, self.a, self.m_ord = n, a, m_ord
+        return self
 
     def __repr__(self) -> str:
         return f"AffineActionContext(n={self.n}, a={self.a}, m_ord={self.m_ord})"
@@ -249,17 +267,25 @@ def _radical_moduli(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _prime_cycle(p: int) -> tuple[list[int], tuple, itemgetter]:
+def _prime_cycle(p: int) -> tuple[list[int], tuple, itemgetter, tuple]:
     # for an odd prime p and its least primitive root g: the discrete logs
-    # log[g^j] = j, the partitions {g^j + pZ, rest} by j in [0, 2p - 2), and
-    # the getter of the positions log 1, ..., log(p - 1)
-    g = next(c for c in range(2, p) if mult_order(c, p) == p - 1)
+    # log[g^j] = j, the partitions {g^j + pZ, rest} by j in [0, 2p - 2), the
+    # getter of the positions log 1, ..., log(p - 1), and ({0 + pZ, rest},)
+    g = next(c for c in range(2, p) if is_primitive_root(c, p))
     powers = [pow(g, j, p) for j in range(p - 1)]
     log = [0] * p
     for j, x in enumerate(powers):
         log[x] = j
     ring = tuple(OrbitPartition(p, (x,)) for x in powers)
-    return log, ring + ring, itemgetter(*log[1:])
+    return log, ring + ring, itemgetter(*log[1:]), (OrbitPartition(p, (0,)),)
+
+
+@lru_cache(maxsize=None)
+def _singletons(p: int) -> tuple[OrbitPartition, ...]:
+    # {c + pZ, rest} for c = 0, ..., p - 1: an odd prime's translation class
+    # in report order; at_logs reads the residue g^(log c) = c for c >= 1
+    log, ring, at_logs, zero = _prime_cycle(p)
+    return zero + at_logs(ring)
 
 
 def _radical_full_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
@@ -268,19 +294,24 @@ def _radical_full_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
     u -> b*u + t, with the least witness t of each, ordered by t (see the
     module docstring for why no other (k, b) has one)."""
     if k == 2:
-        return (OrbitPartition(2, (0,)),), (0,)
+        return _EVENS_TABLE
     if k == 4 and b == 3:
-        # the cycles {0, t} and {2, 2 + t} of u -> 3u + t, for t = 1 and 3
-        return (OrbitPartition(4, (0, 1)), OrbitPartition(4, (0, 3))), (1, 3)
-    # b has order k - 1 only for prime k, as the order divides phi(k)
-    if k % 2 and mult_order(b, k) == k - 1:
+        return _QUARTIC_TABLE
+    # an odd k has a table only if it is prime (the root test presumes it)
+    # and b is a primitive root mod k
+    if k % 2 and prime_factors(k) == (k,) and is_primitive_root(b, k):
         # the class of t is the fixed point t / (1 - b): 0 for t = 0, else
         # g^(log t + j) with j = -log(1 - b), read off the ring
-        log, ring, at_logs = _prime_cycle(k)
+        log, ring, at_logs, zero = _prime_cycle(k)
         j = -log[(1 - b) % k] % (k - 1)
-        return ((OrbitPartition(k, (0,)),) + at_logs(ring[j:j + k - 1]),
-                range(k))
+        return zero + at_logs(ring[j:j + k - 1]), range(k)
     return (), ()
+
+
+# the evens and odds, and the cycles {0, t} and {2, 2 + t} of u -> 3u + t
+# for t = 1 and 3
+_EVENS_TABLE = (OrbitPartition(2, (0,)),), (0,)
+_QUARTIC_TABLE = (OrbitPartition(4, (0, 1)), OrbitPartition(4, (0, 3))), (1, 3)
 
 
 @lru_cache(maxsize=None)
@@ -308,14 +339,15 @@ def two_orbit_partitions_with_generators(
     order.  Each partition is read at k = its radical index, from the
     table of b = a mod k, so s = 1 (see the module docstring).
     """
-    if ctx.n > cap:
-        raise CapExceeded(f"n = {ctx.n} exceeds the enumeration cap {cap}")
+    n, a = ctx.n, ctx.a
+    if n > cap:
+        raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
     found: dict[OrbitPartition, tuple[AffineMapZn, AffineMapZn]] = {}
     s = 1 % ctx.m_ord
-    for k in _radical_moduli(ctx.n):
-        parts, shifts = _radical_full_table(k, ctx.a % k)
+    for k in _radical_moduli(n):
+        parts, shifts = _radical_full_table(k, a % k)
         if parts:
-            found.update(zip(parts, _witness_pairs(shifts, k % ctx.n, s)))
+            found.update(zip(parts, _witness_pairs(shifts, k % n, s)))
     return found
 
 
@@ -353,7 +385,7 @@ def classify_partition(ctx: AffineActionContext, part: OrbitPartition) -> LemmaC
             return Violation(
                 f"radical index {m} is prime but the small class is not a single coset")
         # m prime: the nonzero classes form a cyclic group of order m - 1
-        if mult_order(ctx.a % m, m) != m - 1:
+        if not is_primitive_root(ctx.a % m, m):
             return Violation(
                 f"multiplication by a is not transitive on the nonzero classes mod {m}")
         return Case1(m, next(iter(r1)))
@@ -381,6 +413,85 @@ def case_to_json(case: LemmaCase) -> dict:
 # exhaustive verification
 # ---------------------------------------------------------------------------
 
+# case 1 and case 2 report entries as text, without the closing brace so
+# that classes can follow; the bytes of json.dumps(case_to_json(case))
+_CASE1 = '{"case": 1, "m": %d, "shift": %d'
+_CASE2 = '{"case": 2, "variant": %d'
+
+
+@lru_cache(maxsize=None)
+def _case1_class(p: int) -> str:
+    # the entries of an odd prime's translation class, all case 1
+    return ", ".join([_CASE1 % (p, c) + "}" for c in range(p)])
+
+
+def _report_layout(n: int) -> list[tuple[OrbitPartition, ...]]:
+    """Every partition any unit's tables can give on Z_n, by translation
+    class, in report order (sort_key): the odd primes p | n descending, each
+    as its p singletons by residue, then the evens and odds, then the two
+    quartic partitions."""
+    layout = [_singletons(p) for p in reversed(prime_factors(n)) if p > 2]
+    if n % 2 == 0:
+        layout.append(_EVENS_TABLE[0])
+    if n % 4 == 0:
+        layout.append(_QUARTIC_TABLE[0])
+    return layout
+
+
+def _encode_subgroup(ctx: AffineActionContext, found: dict, layout: list,
+                     include_classes: bool) -> tuple[str, list]:
+    """The context document of <a> after its header, and the [(partition,
+    reason)] of its violations.  found is listed by the table layout, with
+    no sort, one verdict per odd prime's class where it is case 1 (see the
+    module docstring) and one per partition otherwise."""
+    n = ctx.n
+
+    def close(part: OrbitPartition) -> str:
+        return (', "classes": ' + part.classes_json(n) + "}" if include_classes
+                else "}")
+
+    entries = []
+    counts = [0, 0, 0]  # case1, case2, violations
+    bad = []
+    listed = 0
+    for members in layout:
+        if members[0] not in found:
+            continue
+        # a table lists a whole class, so found holds all or none of it
+        if not all(map(found.__contains__, members)):
+            raise InvariantViolation(
+                f"n = {n}, a = {ctx.a}: a translation class of radical "
+                f"{members[0].m} is only partly enumerated")
+        listed += len(members)
+        if len(members) > 2 and isinstance(
+                classify_partition(ctx, members[0]), Case1):
+            counts[0] += len(members)
+            if include_classes:
+                entries += [_CASE1 % (part.m, c) + close(part)
+                            for c, part in enumerate(members)]
+            else:
+                entries.append(_case1_class(members[0].m))
+            continue
+        for part in members:
+            case = classify_partition(ctx, part)
+            if isinstance(case, Case1):
+                counts[0] += 1
+                entry = _CASE1 % (case.m, case.shift)
+            elif isinstance(case, Case2):
+                counts[1] += 1
+                entry = _CASE2 % case.variant
+            else:
+                counts[2] += 1
+                bad.append((part, case.reason))
+                entry = json.dumps(case_to_json(case))[:-1]
+            entries.append(entry + close(part))
+    if listed != len(found):
+        raise InvariantViolation(
+            f"n = {n}, a = {ctx.a}: a partition outside the table layout")
+    return ('"partitions": [%s], "case1": %d, "case2": %d, "violations": %d}'
+            % (", ".join(entries), *counts)), bad
+
+
 def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                  include_classes: bool = False) -> dict:
     """Classify every two-orbit partition for all n <= n_max and units a.
@@ -394,75 +505,61 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     large for prime n).  Class arrays, there and in the violation entries,
     are spliced in as text from OrbitPartition.classes_json.
 
-    Classification and encoding are done once per cyclic subgroup <a> of
-    Z_n^*, not once per unit: X = Z_n x| <alpha> depends on a only through
-    <a>, so every generator of <a> has the same partitions and the same
-    verdicts (see the module docstring).  Each unit is still enumerated,
-    and its partitions must be those of the subgroup, or InvariantViolation
-    is raised.  Each unit a gets its own header and its own violation
-    entries; the encoded partitions are shared.
+    Every generator of <a> has the same partitions and verdicts (see the
+    module docstring), so the work is done per subgroup (the walk that
+    gives each generator its order, and the encoding), per translation
+    class (one verdict and one cached string per odd prime) and, only
+    where it must be, per unit: its own enumeration, which must give the
+    subgroup's partitions or InvariantViolation is raised, its own header
+    and its own violation entries.
     """
     if n_max > cap:
         raise CapExceeded(f"n_max = {n_max} exceeds the cap {cap}")
     violations = []
     contexts = total = 0
+    sep = ""
     if sink:
         sink.write('{"n_max": %d, "contexts": [\n' % n_max)
     for n in range(2, n_max + 1):
-        # each generator of <a> -> (encoded tail of the context document,
-        #                           the enumeration it came from,
+        layout = _report_layout(n)
+        # each generator of <a> -> (ord a, encoded tail of the context
+        #                           document, the partitions of <a>,
         #                           [(partition, reason)] of its violations)
-        shared: dict[int, tuple[str, dict, list]] = {}
+        shared: dict[int, tuple[int, str, object, list]] = {}
         for a in units(n):
-            ctx = AffineActionContext(n, a)
-            found = two_orbit_partitions_with_generators(ctx, cap=cap)
-            if a not in shared:
-                entries = []
-                counts = [0, 0, 0]  # case1, case2, violations
-                bad = []
-                for part in sorted(found, key=lambda part: part.sort_key(n)):
-                    case = classify_partition(ctx, part)
-                    entry = case_to_json(case)
-                    if isinstance(case, Case1):
-                        counts[0] += 1
-                    elif isinstance(case, Case2):
-                        counts[1] += 1
-                    else:
-                        counts[2] += 1
-                        bad.append((part, case.reason))
-                    if include_classes:
-                        entry = json_splice(entry, "classes",
-                                            part.classes_json(n), {})
-                    entries.append(entry)
-                totals = {"case1": counts[0], "case2": counts[1],
-                          "violations": counts[2]}
-                # the document minus its opening brace: the per-unit header
-                # completes it byte for byte as json.dumps would
-                if include_classes:
-                    tail = json_splice({}, "partitions",
-                                       "[" + ", ".join(entries) + "]",
-                                       totals)[1:]
-                else:
-                    tail = json.dumps({"partitions": entries, **totals})[1:]
-                # a is the first unit of <a>; the others are the a^j with
+            if a in shared:
+                m_ord, tail, keys, bad = shared[a]
+                found = two_orbit_partitions_with_generators(
+                    AffineActionContext._of_order(n, a, m_ord), cap=cap)
+                if found.keys() != keys:
+                    raise InvariantViolation(
+                        f"n = {n}: a = {a} has other two-orbit partitions "
+                        f"than a generator of the same subgroup <a>")
+            else:
+                # a is the first unit of <a>; the walk a, a^2, ..., 1 gives
+                # ord(a) and the other generators, the a^j with
                 # gcd(j, ord a) = 1
-                x = a
-                for j in range(1, ctx.m_ord + 1):
-                    if gcd(j, ctx.m_ord) == 1:
-                        shared[x] = tail, found, bad
-                    x = x * a % n
-            tail, subgroup_found, bad = shared[a]
-            if found.keys() != subgroup_found.keys():
-                raise InvariantViolation(
-                    f"n = {n}: a = {a} has other two-orbit partitions than "
-                    f"a generator of the same subgroup <a>")
-            violations += [(n, a, part, reason) for part, reason in bad]
+                powers = [a]
+                while powers[-1] != 1:
+                    powers.append(powers[-1] * a % n)
+                m_ord = len(powers)
+                ctx = AffineActionContext._of_order(n, a, m_ord)
+                found = two_orbit_partitions_with_generators(ctx, cap=cap)
+                tail, bad = _encode_subgroup(ctx, found, layout,
+                                             include_classes)
+                entry = m_ord, tail, found.keys(), bad
+                for j, x in enumerate(powers, 1):
+                    if gcd(j, m_ord) == 1:
+                        shared[x] = entry
+            if bad:
+                violations += [(n, a, part, reason) for part, reason in bad]
             contexts += 1
             total += len(found)
             if sink:
-                sink.write(("" if contexts == 1 else ",\n")
-                           + '{"n": %d, "a": %d, "m_ord": %d, '
-                           % (n, a, ctx.m_ord) + tail)
+                sink.write('%s{"n": %d, "a": %d, "m_ord": %d, '
+                           % (sep, n, a, m_ord))
+                sink.write(tail)
+                sep = ",\n"
     summary = {
         "n_max": n_max,
         "contexts_checked": contexts,

@@ -9,12 +9,14 @@ bit-loop graph6 writer and a backtracking isomorphism test) is kept as the
 reference for the connection-set graph code, trial division and the
 polynomial-power search as the reference for the field's modulus and omega,
 the polynomial-product table loop as the reference for the packed field
-tables, and the power walk as the reference for multiplicative orders.
+tables, the power walk as the reference for multiplicative orders, and the
+per-partition report as the reference for the lemma report.
 Field sums in tests are taken on base-p digits and field products on
 coefficient vectors, and the powers of omega come from that loop, never
 from the field walk they check.
 """
 
+import json
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -22,7 +24,10 @@ from math import gcd
 from rank3affine.errors import EmptySet, NotAUnit
 from rank3affine.fields import _poly_mul_mod
 from rank3affine.graphs import NotStronglyRegular, SrgParams
-from rank3affine.znaction import AffineMapZn, OrbitPartition
+from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1,
+                                  Case2, OrbitPartition, case_to_json,
+                                  classify_partition,
+                                  two_orbit_partitions_with_generators)
 
 
 @lru_cache(maxsize=None)
@@ -416,6 +421,47 @@ def per_shift_two_orbit_partitions(ctx):
                     found[red] = (AffineMapZn(k % ctx.n, 0),
                                   AffineMapZn(t, s % ctx.m_ord))
     return found
+
+
+# ---------------------------------------------------------------------------
+# the lemma report, one unit and one partition at a time
+# ---------------------------------------------------------------------------
+
+def per_partition_lemma_report(n_max, include_classes=False):
+    """The text verify_lemma streams for n <= n_max, built with nothing
+    shared: per unit, the context's own order, its partitions sorted by
+    sort_key, classify_partition and json.dumps(case_to_json(case)) per
+    partition, and the classes as int lists."""
+    docs, violations = [], []
+    total = 0
+    for n in range(2, n_max + 1):
+        for a in (a for a in range(1, n) if gcd(a, n) == 1):
+            ctx = AffineActionContext(n, a)
+            found = two_orbit_partitions_with_generators(ctx)
+            entries = []
+            counts = {"case1": 0, "case2": 0, "violations": 0}
+            for part in sorted(found, key=lambda part: part.sort_key(n)):
+                case = classify_partition(ctx, part)
+                entry = case_to_json(case)
+                if isinstance(case, Case1):
+                    counts["case1"] += 1
+                elif isinstance(case, Case2):
+                    counts["case2"] += 1
+                else:
+                    counts["violations"] += 1
+                    violations.append({"n": n, "a": a,
+                                       "classes": list(part.classes(n)),
+                                       "reason": case.reason})
+                if include_classes:
+                    entry["classes"] = list(part.classes(n))
+                entries.append(entry)
+            docs.append(json.dumps({"n": n, "a": a, "m_ord": ctx.m_ord,
+                                    "partitions": entries, **counts}))
+            total += len(found)
+    return ('{"n_max": %d, "contexts": [\n' % n_max + ",\n".join(docs)
+            + '\n], "partitions_checked": %d, "violation_count": %d, '
+            '"violations": %s}\n' % (total, len(violations),
+                                      json.dumps(violations)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import oracles
+import rank3affine.classify as classify
 from rank3affine.classify import (as_prime_power, classify_field, family_key,
                                   gammal1_context, prime_powers_up_to,
                                   verify_theorem)
@@ -152,6 +153,29 @@ def test_matched_class_equals_family_set_up_to_shift_and_complement():
             target = {(x + e.shift) % n for x in base}
             assert e.partition.classes(n) == \
                 (sorted(target), sorted(set(range(n)) - target)), (q, e)
+
+
+def test_vls_subgroup_built_once_per_field_and_index(monkeypatch):
+    # the label depends only on (q, m): GF(4096) has 13, 5 and 3 case-1
+    # partitions of m = 13, 5 and 3, and builds each subgroup once
+    built = []
+    real = classify.vls_connection_set
+
+    def counting(field, ell, allow_directed=False):
+        built.append((field.q, ell))
+        return real(field, ell, allow_directed=allow_directed)
+
+    monkeypatch.setattr(classify, "vls_connection_set", counting)
+    classify._vls_label.cache_clear()
+    report = classify_field(build_field(2, 12))
+    assert [e.lemma_case.m for e in report.entries
+            if isinstance(e.family, GeneralizedPaley)] == [13] * 13 + [5] * 5 + [3] * 3
+    assert built == [(4096, 13), (4096, 5), (4096, 3)]
+    # and over a sweep, once per (field, m), with the cache kept small
+    built.clear()
+    verify_theorem(prime_powers_up_to(1024) + [4096])
+    assert built and len(built) == len(set(built))
+    assert classify._vls_label.cache_info().currsize <= 8
 
 
 def test_lemma_case_matches_family_kind():

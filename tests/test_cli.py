@@ -2,8 +2,10 @@ import errno
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -373,6 +375,53 @@ def test_output_onto_directory_is_usage_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [target]
     assert list(target.iterdir()) == [target / "keep"]
     assert (target / "keep").read_text() == "kept\n"
+
+
+def _read_fifo(fifo, keep):
+    # a reader on a thread: it reads the FIFO to its end, or with keep
+    # False leaves as soon as a writer has opened it
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read() if keep else b"")
+
+    thread = threading.Thread(target=read, daemon=True)
+    thread.start()
+    return thread, got
+
+
+def test_output_onto_fifo_writes_through_it(capsys, tmp_path):
+    # a FIFO, like a device or /dev/stdout, is written in place and stays
+    # what it is; it is not replaced by a regular file
+    fifo, plain = tmp_path / "fifo", tmp_path / "plain.json"
+    os.mkfifo(fifo)
+    args = ("verify", "--lemma", "--n-max", "3", "--classes")
+    thread, got = _read_fifo(fifo, keep=True)
+    assert run(capsys, *args, "--output", str(fifo))[0] == 0
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert run(capsys, *args, "--output", str(plain))[0] == 0
+    assert got == [plain.read_bytes()]
+    assert sorted(tmp_path.iterdir()) == [fifo, plain]
+
+
+def test_output_onto_closed_fifo_is_usage_error(capsys, tmp_path):
+    # the reader leaves without reading; the report outgrows the pipe's
+    # buffer, so a write fails with EPIPE whatever the timing
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    thread, _ = _read_fifo(fifo, keep=False)
+    code, out, err = run(capsys, "verify", "--lemma", "--n-max", "100",
+                         "--output", str(fifo))
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert code == 2 and out == ""
+    assert err == (f"error: OutputNotWritable: cannot write {fifo}: "
+                   f"{os.strerror(errno.EPIPE)}\n")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def test_report_file_mode_matches_plain_open(capsys, tmp_path):

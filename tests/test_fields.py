@@ -10,7 +10,8 @@ from rank3affine import fields
 from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.errors import (CapExceeded, DegreeOutOfRange,
                                 InvariantViolation, NotAUnit, NotPrime)
-from rank3affine.fields import build_field, is_prime, mult_order
+from rank3affine.fields import (build_field, is_prime,
+                               is_primitive_root, mult_order)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (2, 6)]
 
@@ -19,10 +20,17 @@ SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), 
 # multiplicative order
 # ---------------------------------------------------------------------------
 
-def test_mult_order_matches_power_walk():
+@functools.cache
+def walked_orders():
+    # (x, m) -> the order of x mod m by the power walk, None for a non-unit,
+    # for every m <= 300 and every prime m < 1000
     moduli = [*range(1, 301), *(p for p in range(301, 1000) if is_prime(p))]
-    walked = {(x, m): oracles.loop_mult_order(x, m) if gcd(x, m) == 1 else None
-              for m in moduli for x in range(m)}
+    return {(x, m): oracles.loop_mult_order(x, m) if gcd(x, m) == 1 else None
+            for m in moduli for x in range(m)}
+
+
+def test_mult_order_matches_power_walk():
+    walked = walked_orders()
     # m and phi(m) are factored once each: the second pass reads the cached
     # factors, and must give the same orders and the same errors
     for _ in range(2):
@@ -32,6 +40,16 @@ def test_mult_order_matches_power_walk():
                     mult_order(x, m)
             else:
                 assert mult_order(x, m) == order, (x, m)
+
+
+def test_primitive_root_test_matches_power_walk():
+    # every unit of every prime p < 1000
+    checked = 0
+    for (x, m), order in walked_orders().items():
+        if order is not None and is_prime(m):
+            assert is_primitive_root(x, m) == (order == m - 1), (x, m)
+            checked += 1
+    assert checked == sum(p - 1 for p in range(2, 1000) if is_prime(p))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from rank3affine.cli import main
 from rank3affine.fields import FiniteField
+from rank3affine.znaction import verify_lemma
 
 GOLDEN = {
     "lemma40-classes": (
@@ -101,3 +102,24 @@ def test_verify_and_classify_never_walk_the_powers(name, tmp_path, capsys,
     monkeypatch.setattr(FiniteField, "powers", no_walk)
     argv, digest = GOLDEN[name]
     assert report_sha256(argv, tmp_path, capsys) == digest
+
+
+# sha256 of the verify --lemma --n-max 400 report (78 MB, 48,677 contexts)
+LEMMA400_SHA256 = (
+    "f826c8c95f82b229a1024ee9deb2207ac91d28f2c9b086d9fafcf1cc9bf26b1b")
+
+
+class Sha256Sink:
+    """A write-only text stream that keeps only the digest of its bytes."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode("ascii"))
+
+
+def test_lemma400_stream_matches_pinned_sha256():
+    sink = Sha256Sink()
+    verify_lemma(400, sink=sink)
+    assert sink.hash.hexdigest() == LEMMA400_SHA256

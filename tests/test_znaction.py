@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 from math import gcd
 
 import pytest
@@ -400,6 +401,29 @@ def test_verify_lemma_stream_matches_summary():
                 assert c1 == [x for x in range(n) if x % m == shift]
 
 
+@pytest.mark.parametrize("n_max, include_classes", [(120, False), (40, True)])
+def test_verify_lemma_stream_matches_the_per_partition_oracle(
+        n_max, include_classes):
+    # listed by table layout, one verdict and one cached string per odd
+    # prime class, the stream is still the per-partition report, line by line
+    buf = io.StringIO()
+    verify_lemma(n_max, sink=buf, include_classes=include_classes)
+    assert buf.getvalue().split("\n") == oracles.per_partition_lemma_report(
+        n_max, include_classes).split("\n")
+
+
+def test_walked_orders_match_the_power_walk():
+    # every unit's m_ord comes from the walk of its subgroup, not mult_order
+    buf = io.StringIO()
+    verify_lemma(200, sink=buf)
+    headers = [tuple(map(int, h)) for h in re.findall(
+        r'\{"n": (\d+), "a": (\d+), "m_ord": (\d+), ', buf.getvalue())]
+    assert [(n, a) for n, a, _ in headers] == [
+        (n, a) for n in range(2, 201) for a in units(n)]
+    for n, a, m_ord in headers:
+        assert m_ord == oracles.loop_mult_order(a, n), (n, a)
+
+
 def _verdicts(n, a):
     ctx = AffineActionContext(n, a)
     return {part: classify_partition(ctx, part)
@@ -461,6 +485,25 @@ def test_verify_lemma_expands_shared_violations_per_unit(monkeypatch):
             (v["n"], v["a"]) == (c["n"], c["a"]) for v in expected)
 
 
+def test_odd_prime_class_not_case_1_is_classified_per_partition(monkeypatch):
+    # a class whose residue 0 is not case 1 gets one verdict per partition:
+    # the stream is the per-partition report under the same verdicts
+    real = classify_partition
+
+    def inject(ctx, part):
+        if part.m == 5 and part.r1 in ({0}, {3}):
+            return Violation("injected")
+        return real(ctx, part)
+
+    monkeypatch.setattr(znaction, "classify_partition", inject)
+    monkeypatch.setattr(oracles, "classify_partition", inject)
+    buf = io.StringIO()
+    summary = verify_lemma(30, sink=buf)
+    assert buf.getvalue() == oracles.per_partition_lemma_report(30)
+    assert summary["violation_count"] > 0
+    assert {v["reason"] for v in summary["violations"]} == {"injected"}
+
+
 def test_verify_lemma_checks_each_unit_against_its_subgroup(monkeypatch):
     # 2 and 3 both generate Z_5^*; an enumeration that disagrees for 3 must
     # not be covered up by the result shared from 2
@@ -476,3 +519,28 @@ def test_verify_lemma_checks_each_unit_against_its_subgroup(monkeypatch):
                         drop_one)
     with pytest.raises(InvariantViolation, match="a = 3"):
         verify_lemma(5)
+
+
+@pytest.mark.parametrize("drop, add", [(0, False), (None, True), (2, True)])
+def test_verify_lemma_refuses_partitions_off_the_table_layout(monkeypatch,
+                                                              drop, add):
+    # a subgroup is encoded from the table layout, not from its dictionary,
+    # so part of a class left out, or a partition the layout lacks, must
+    # raise rather than vanish from the report; both at once keep the count
+    # right.  3 is the first primitive root mod 7, the first unit with any
+    # partition
+    real = two_orbit_partitions_with_generators
+
+    def altered(ctx, cap=znaction.DEFAULT_N_CAP):
+        found = real(ctx, cap=cap)
+        if ctx.n == 7 and found:
+            if drop is not None:
+                del found[OrbitPartition(7, {drop})]
+            if add:
+                found[OrbitPartition(7, {0, 1})] = next(iter(found.values()))
+        return found
+
+    monkeypatch.setattr(znaction, "two_orbit_partitions_with_generators",
+                        altered)
+    with pytest.raises(InvariantViolation, match="n = 7, a = 3: "):
+        verify_lemma(7)
