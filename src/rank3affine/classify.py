@@ -27,6 +27,7 @@ the classes as lists, serves classify's indented report and the tests.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 
 from .errors import (CapExceeded, CharCondition, DegenerateModulus,
@@ -70,7 +71,7 @@ class ClassifiedPartition(Value):
         """
         doc: dict = {}
         if n is not None:
-            doc["classes"] = list(self.partition.classes(n))
+            doc["classes"] = json.loads(self.partition.classes_json(n))
         doc["lemma_case"] = case_to_json(self.lemma_case)
         doc["family"] = label_to_json(self.family)
         doc["complemented"] = False
@@ -157,10 +158,10 @@ def classify_field(field: FiniteField, cap: int = DEFAULT_Q_CAP) -> Classificati
     if field.q == 2:
         return ClassificationReport(field, [], 0)
     ctx = gammal1_context(field)
-    found = two_orbit_partitions_with_generators(ctx, cap=cap)
     entries = []
     unmatched = 0
-    for part in sorted(found, key=lambda part: part.sort_key(ctx.n)):
+    # the enumeration comes in report order
+    for part in two_orbit_partitions_with_generators(ctx, cap=cap):
         case = classify_partition(ctx, part)
         family, shift = _match_family(field, case)
         if isinstance(family, Unmatched) or isinstance(case, Violation):

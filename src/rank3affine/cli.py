@@ -86,7 +86,8 @@ def _out_stream(path: str | None):
     return and is removed on an exception, so no partial report is left.
     A path that exists and is not a regular file (a FIFO, a device, a link
     to one) is written in place instead, so it is never replaced by a
-    regular file.  A failed write (a closed pipe, a full disk) raises
+    regular file.  A link to a regular file stays a link: the file it
+    names is replaced.  A failed write (a closed pipe, a full disk) raises
     OutputNotWritable."""
     try:
         if not path:
@@ -97,7 +98,9 @@ def _out_stream(path: str | None):
             with open(path, "w", encoding="ascii") as fh:
                 yield fh
             return
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+        # resolved only now: /dev/stdout on a pipe resolves to no path
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                    prefix=".rank3affine-", suffix=".tmp")
         try:
             with open(fd, "w", encoding="ascii") as fh:
@@ -105,7 +108,7 @@ def _out_stream(path: str | None):
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise

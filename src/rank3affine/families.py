@@ -56,13 +56,6 @@ def label_to_json(label: FamilyLabel) -> dict:
     return {"family": "unmatched"}
 
 
-def latin_square_tag(label: GeneralizedPaley) -> str:
-    """Parameter bookkeeping for the generalized Paley family."""
-    if label.ell == 2:
-        return "classical-paley"
-    return "latin-square" if label.k % 2 == 1 else "negative-latin-square"
-
-
 # ---------------------------------------------------------------------------
 # connection sets
 # ---------------------------------------------------------------------------

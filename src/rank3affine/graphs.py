@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterator
 
-from .errors import (BadResidue, CapExceeded, Directed, FieldMismatch,
+from .errors import (CapExceeded, Directed, FieldMismatch,
                      InfeasibleParameters, InvariantViolation, NotSymmetric,
                      TooLarge)
 from .families import ConnectionSet
@@ -219,13 +219,6 @@ def srg_params(g: CayleyGraph, cap: int = DEFAULT_SRG_CAP) -> SrgParams | NotStr
                 (0, y), f"{kind} pair shares {c} neighbors, expected {want}")
     return SrgParams(v, len(g.connection), expected.get(True, 0),
                      expected.get(False, 0))
-
-
-def paley_parameter_formula(q: int) -> SrgParams:
-    """(q, (q-1)/2, (q-5)/4, (q-1)/4) for q = 1 mod 4."""
-    if q % 4 != 1:
-        raise BadResidue(f"q = {q} = {q % 4} mod 4; Paley parameters need q = 1 mod 4")
-    return SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ Soundness in detail: if Y <= X has exactly two orbits, put <k> = Y & Z_n
 (t, s) lies in Y, and Y = <(k,0), (t,s)> with t mattering only mod k.
 Conversely every generated pair is a genuine subgroup, so candidate hits are
 never spurious.  Iterating k | n, s | ord(a), t in Z_k therefore covers every
-subgroup, and each partition is witnessed by its first hit in that order.
+subgroup.
 
 Each partition is found at its own radical.  Let Y give the partition P,
 with radical m Z_n.  The translation (m, 0) maps each class of P onto
@@ -58,7 +58,7 @@ reduces mod 4 to u -> 3u + t, with the cycles {0, t} and {2, 2 + t}
 So the table of Z_k and b is empty unless k = 2; k = 4 and b = 3; or k an
 odd prime and b a primitive root mod k, when it lists all k residue
 classes.  A power of b is a primitive root mod k, or 3 mod 4, only if b
-is, so the first s | ord(a) with a nonempty table is s = 1.
+is, so the tables of b = a mod k (s = 1) hold every partition.
 
 Note the partition set of a context is closed under translation: conjugating
 Y by the translation u -> u + c (an element of X) translates both orbits by
@@ -73,29 +73,31 @@ generator a^j has odd j and a^j = 3 mod 4 too.  For an odd prime p the
 verdict reads only p, the number of residues and a mod p, so the p
 singletons, one translation class, share one verdict.
 
+The enumerator returns the tables of the k | n in report order, the odd
+primes descending, then k = 2, then k = 4, each table a whole class with
+its residues ascending.  That is the order of first-class size n / k, then
+k, then residues, so the tuple is listed as reported, with no sort.
+
 verify_lemma works at three levels.  Per subgroup <a>: one walk a, a^2,
 ..., 1, which gives ord(a) to every generator, so no unit computes an
-order, and one encoding of the partitions, listed by the table layout of
-n (odd primes descending, then k = 2, then k = 4), which is report order
-with no sort.  Per translation class: an odd prime's singletons are
-classified at residue 0, and a case 1 there is written as one string
-cached per p; the k = 2 and k = 4 partitions, and any other verdict, are
-classified one by one.  Per unit: its own enumeration, which must give
-the subgroup's partitions, its own header and its own violations.  A
-unit's enumeration visits only k = 2, 4 and the odd primes p | n, each p
-by one primitive-root test (a pow per prime of p - 1, factored once) and
-one C-level gather off the powers of a primitive root mod p, and the
-partitions, interned, hash by identity.
+order, and one encoding of the enumerated tuple, which must be whole
+classes of the table layout of n, concatenated.  Per translation class:
+an odd prime's singletons are classified at residue 0, and a case 1 there
+is written as one string cached per p; the k = 2 and k = 4 partitions,
+and any other verdict, are classified one by one.  Per unit: its own
+enumeration, which must be the subgroup's tuple, its own header and its
+own violations.  A unit's enumeration visits only k = 2, 4 and the odd
+primes p | n, each p by one primitive-root test (a pow per prime of
+p - 1, factored once), and joins the shared tables of interned
+partitions.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress
 from math import gcd
-from operator import itemgetter
-from typing import Sequence
 
 from .errors import (CapExceeded, InvariantViolation, MalformedPartition,
                      ModulusOutOfRange)
@@ -107,12 +109,6 @@ DEFAULT_N_CAP = 4096
 
 def units(n: int) -> list[int]:
     return [a for a in range(1, n) if gcd(a, n) == 1]
-
-
-class AffineMapZn(Value):
-    """Element (t, s) of Z_n x| <alpha>, acting as u -> a^s * u + t."""
-
-    __slots__ = _fields = ("t", "s")
 
 
 class AffineActionContext:
@@ -138,34 +134,6 @@ class AffineActionContext:
         return f"AffineActionContext(n={self.n}, a={self.a}, m_ord={self.m_ord})"
 
 
-def orbits(ctx: AffineActionContext, generators) -> list[frozenset]:
-    """Orbit partition of Z_n under the subgroup generated by the maps.
-
-    Union-find closure: orbits of a generated permutation group are the
-    connected components of the union of the generators' functional graphs.
-    """
-    parent = list(range(ctx.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in generators:
-        mult = pow(ctx.a, g.s, ctx.n)
-        for u in range(ctx.n):
-            v = (mult * u + g.t) % ctx.n
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-    classes: dict[int, list[int]] = {}
-    for u in range(ctx.n):
-        classes.setdefault(find(u), []).append(u)
-    return sorted((frozenset(c) for c in classes.values()),
-                  key=lambda c: (len(c), min(c)))
-
-
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
@@ -181,9 +149,9 @@ class OrbitPartition(Value):
     life of the process, so equality and hashing are identity, in C.
 
     Reports encode the classes of Z_n as text, through classes_json: the
-    bytes of json.dumps(list(classes(n))), joined from one shared list of
-    the decimal strings of 0, ..., n - 1 by C-level slices and masks, with
-    no int list and no Python step per element.  The list grows to the
+    bytes of json.dumps of the two ascending class lists, joined from one
+    shared list of the decimal strings of 0, ..., n - 1 by C-level slices
+    and masks, with no int list and no Python step per element.  The list grows to the
     largest n written and never shrinks, so peak memory is that of one
     field's strings, whatever the number of fields or partitions written.
     """
@@ -208,21 +176,12 @@ class OrbitPartition(Value):
     def __repr__(self) -> str:
         return f"OrbitPartition(m={self.m!r}, r1={set(self.r1)!r})"
 
-    def classes(self, n: int) -> tuple[list[int], list[int]]:
-        """The two classes of Z_n, each ascending."""
-        mark = bytearray(self.m)
-        for x in self.r1:
-            mark[x] = 1
-        c1, c2 = [], []
-        for x in range(n):
-            (c1 if mark[x % self.m] else c2).append(x)
-        return c1, c2
-
     def classes_json(self, n: int) -> str:
-        """json.dumps(list(self.classes(n))), byte for byte: the classes are
-        gathered from _digits, str(i) for every i below the largest n written
-        so far, by a stride for m = 2 and by the residue mask repeated n / m
-        times (and its complement) otherwise."""
+        """json.dumps([c1, c2]) for the classes c1 and c2 of Z_n, each
+        ascending, byte for byte: the classes are gathered from _digits,
+        str(i) for every i below the largest n written so far, by a stride
+        for m = 2 and by the residue mask repeated n / m times (and its
+        complement) otherwise."""
         digits = self._digits
         if len(digits) < n:
             # a longer copy replaces the list, so no reader sees it change
@@ -240,10 +199,6 @@ class OrbitPartition(Value):
             c2 = compress(digits, mask.translate(_COMPLEMENT))
         return "[[" + ", ".join(c1) + "], [" + ", ".join(c2) + "]]"
 
-    def sort_key(self, n: int):
-        """Report order on Z_n: first-class size, then m, then residues."""
-        return len(self.r1) * (n // self.m), self.m, sorted(self.r1)
-
 
 _COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
 
@@ -260,94 +215,58 @@ def json_splice(head: dict, key: str, raw: str, tail: dict) -> str:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _radical_moduli(n: int) -> tuple[int, ...]:
-    # the k | n with a table (see the module docstring): 2, 4 and the odd
-    # primes, ascending
-    return tuple(sorted(prime_factors(n) + ((4,) if n % 4 == 0 else ())))
-
-
-@lru_cache(maxsize=None)
-def _prime_cycle(p: int) -> tuple[list[int], tuple, itemgetter, tuple]:
-    # for an odd prime p and its least primitive root g: the discrete logs
-    # log[g^j] = j, the partitions {g^j + pZ, rest} by j in [0, 2p - 2), the
-    # getter of the positions log 1, ..., log(p - 1), and ({0 + pZ, rest},)
-    g = next(c for c in range(2, p) if is_primitive_root(c, p))
-    powers = [pow(g, j, p) for j in range(p - 1)]
-    log = [0] * p
-    for j, x in enumerate(powers):
-        log[x] = j
-    ring = tuple(OrbitPartition(p, (x,)) for x in powers)
-    return log, ring + ring, itemgetter(*log[1:]), (OrbitPartition(p, (0,)),)
+def _table_moduli(n: int) -> tuple[int, ...]:
+    # the k | n with a table (see the module docstring), in report order:
+    # the odd primes descending, then 2, then 4
+    return (tuple(p for p in reversed(prime_factors(n)) if p > 2)
+            + tuple(k for k in (2, 4) if n % k == 0))
 
 
 @lru_cache(maxsize=None)
 def _singletons(p: int) -> tuple[OrbitPartition, ...]:
     # {c + pZ, rest} for c = 0, ..., p - 1: an odd prime's translation class
-    # in report order; at_logs reads the residue g^(log c) = c for c >= 1
-    log, ring, at_logs, zero = _prime_cycle(p)
-    return zero + at_logs(ring)
-
-
-def _radical_full_table(k: int, b: int) -> tuple[tuple[OrbitPartition, ...],
-                                                 Sequence[int]]:
-    """Partitions of Z_k with radical k into the two cycles of some map
-    u -> b*u + t, with the least witness t of each, ordered by t (see the
-    module docstring for why no other (k, b) has one)."""
-    if k == 2:
-        return _EVENS_TABLE
-    if k == 4 and b == 3:
-        return _QUARTIC_TABLE
-    # an odd k has a table only if it is prime (the root test presumes it)
-    # and b is a primitive root mod k
-    if k % 2 and prime_factors(k) == (k,) and is_primitive_root(b, k):
-        # the class of t is the fixed point t / (1 - b): 0 for t = 0, else
-        # g^(log t + j) with j = -log(1 - b), read off the ring
-        log, ring, at_logs, zero = _prime_cycle(k)
-        j = -log[(1 - b) % k] % (k - 1)
-        return zero + at_logs(ring[j:j + k - 1]), range(k)
-    return (), ()
+    # in report order
+    return tuple(OrbitPartition(p, (c,)) for c in range(p))
 
 
 # the evens and odds, and the cycles {0, t} and {2, 2 + t} of u -> 3u + t
 # for t = 1 and 3
-_EVENS_TABLE = (OrbitPartition(2, (0,)),), (0,)
-_QUARTIC_TABLE = (OrbitPartition(4, (0, 1)), OrbitPartition(4, (0, 3))), (1, 3)
+_EVENS = (OrbitPartition(2, (0,)),)
+_QUARTIC = (OrbitPartition(4, (0, 1)), OrbitPartition(4, (0, 3)))
 
 
-@lru_cache(maxsize=None)
-def _affine_map(t: int, s: int) -> AffineMapZn:
-    # one object per map, shared by the witness pairs of every table
-    return AffineMapZn(t, s)
-
-
-@lru_cache(maxsize=None)
-def _witness_pairs(shifts: Sequence[int], translation: int, s: int) -> tuple:
-    # the pairs ((translation, 0), (t, s)) by t in shifts; translation is
-    # k mod n, so a table has two, shared by every unit of every context
-    return tuple(zip(repeat(_affine_map(translation, 0)),
-                     map(_affine_map, shifts, repeat(s))))
+def _radical_full_table(k: int, b: int) -> tuple[OrbitPartition, ...]:
+    """Partitions of Z_k with radical k into the two cycles of some map
+    u -> b*u + t: one whole translation class in report order, or none
+    (see the module docstring for why no other (k, b) has one)."""
+    if k == 2:
+        return _EVENS
+    if k == 4 and b == 3:
+        return _QUARTIC
+    # an odd k has a table only if it is prime (the root test presumes it)
+    # and b is a primitive root mod k
+    if k % 2 and prime_factors(k) == (k,) and is_primitive_root(b, k):
+        return _singletons(k)
+    return ()
 
 
 def two_orbit_partitions_with_generators(
         ctx: AffineActionContext,
         cap: int = DEFAULT_N_CAP,
-) -> dict[OrbitPartition, tuple[AffineMapZn, AffineMapZn]]:
-    """Two-orbit partitions, each with one witness generator pair.
+) -> tuple[OrbitPartition, ...]:
+    """The two-orbit partitions of the context, in report order.
 
-    The witness pair ((k, 0), (t, s)) generates a subgroup whose orbit
-    partition of Z_n is the key; it is the first hit in (k, s, t) ascending
-    order.  Each partition is read at k = its radical index, from the
-    table of b = a mod k, so s = 1 (see the module docstring).
+    Each partition is read at k = its radical index, from the table of
+    b = a mod k, and the tables come in report order (see the module
+    docstring).  Only partitions are returned, no generators; the name is
+    kept because the benchmark's tracer records the enumeration by it.
     """
     n, a = ctx.n, ctx.a
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the enumeration cap {cap}")
-    found: dict[OrbitPartition, tuple[AffineMapZn, AffineMapZn]] = {}
-    s = 1 % ctx.m_ord
-    for k in _radical_moduli(n):
-        parts, shifts = _radical_full_table(k, a % k)
-        if parts:
-            found.update(zip(parts, _witness_pairs(shifts, k % n, s)))
+    found = ()
+    for k in _table_moduli(n):
+        found += _radical_full_table(k, a % k)
     return found
 
 
@@ -427,24 +346,26 @@ def _case1_class(p: int) -> str:
 
 def _report_layout(n: int) -> list[tuple[OrbitPartition, ...]]:
     """Every partition any unit's tables can give on Z_n, by translation
-    class, in report order (sort_key): the odd primes p | n descending, each
-    as its p singletons by residue, then the evens and odds, then the two
-    quartic partitions."""
-    layout = [_singletons(p) for p in reversed(prime_factors(n)) if p > 2]
-    if n % 2 == 0:
-        layout.append(_EVENS_TABLE[0])
-    if n % 4 == 0:
-        layout.append(_QUARTIC_TABLE[0])
-    return layout
+    class, in report order: the odd primes p | n descending, each as its p
+    singletons by residue, then the evens and odds, then the two quartic
+    partitions."""
+    return [_singletons(k) if k % 2 else _EVENS if k == 2 else _QUARTIC
+            for k in _table_moduli(n)]
 
 
-def _encode_subgroup(ctx: AffineActionContext, found: dict, layout: list,
+def _encode_subgroup(ctx: AffineActionContext, found: tuple, layout: list,
                      include_classes: bool) -> tuple[str, list]:
     """The context document of <a> after its header, and the [(partition,
-    reason)] of its violations.  found is listed by the table layout, with
-    no sort, one verdict per odd prime's class where it is case 1 (see the
-    module docstring) and one per partition otherwise."""
+    reason)] of its violations.  found must be the layout classes it lists,
+    concatenated; it is written in that order, with one verdict per odd
+    prime's class where it is case 1 (see the module docstring) and one per
+    partition otherwise."""
     n = ctx.n
+    listed = [members for members in layout if members[0] in found]
+    if tuple(chain.from_iterable(listed)) != found:
+        raise InvariantViolation(
+            f"n = {n}, a = {ctx.a}: the partitions are not whole translation "
+            f"classes in table layout order")
 
     def close(part: OrbitPartition) -> str:
         return (', "classes": ' + part.classes_json(n) + "}" if include_classes
@@ -453,16 +374,7 @@ def _encode_subgroup(ctx: AffineActionContext, found: dict, layout: list,
     entries = []
     counts = [0, 0, 0]  # case1, case2, violations
     bad = []
-    listed = 0
-    for members in layout:
-        if members[0] not in found:
-            continue
-        # a table lists a whole class, so found holds all or none of it
-        if not all(map(found.__contains__, members)):
-            raise InvariantViolation(
-                f"n = {n}, a = {ctx.a}: a translation class of radical "
-                f"{members[0].m} is only partly enumerated")
-        listed += len(members)
+    for members in listed:
         if len(members) > 2 and isinstance(
                 classify_partition(ctx, members[0]), Case1):
             counts[0] += len(members)
@@ -485,9 +397,6 @@ def _encode_subgroup(ctx: AffineActionContext, found: dict, layout: list,
                 bad.append((part, case.reason))
                 entry = json.dumps(case_to_json(case))[:-1]
             entries.append(entry + close(part))
-    if listed != len(found):
-        raise InvariantViolation(
-            f"n = {n}, a = {ctx.a}: a partition outside the table layout")
     return ('"partitions": [%s], "case1": %d, "case2": %d, "violations": %d}'
             % (", ".join(entries), *counts)), bad
 
@@ -505,12 +414,13 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     large for prime n).  Class arrays, there and in the violation entries,
     are spliced in as text from OrbitPartition.classes_json.
 
-    Every generator of <a> has the same partitions and verdicts (see the
-    module docstring), so the work is done per subgroup (the walk that
-    gives each generator its order, and the encoding), per translation
-    class (one verdict and one cached string per odd prime) and, only
-    where it must be, per unit: its own enumeration, which must give the
-    subgroup's partitions or InvariantViolation is raised, its own header
+    Every unit's enumeration is a tuple of whole translation classes in
+    report order, and every generator of <a> has the same tuple and
+    verdicts (see the module docstring).  So the work is done per subgroup
+    (the walk that gives each generator its order, and the encoding), per
+    translation class (one verdict and one cached string per odd prime)
+    and, only where it must be, per unit: its own enumeration, which must
+    be the subgroup's tuple or InvariantViolation is raised, its own header
     and its own violation entries.
     """
     if n_max > cap:
@@ -525,13 +435,13 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
         # each generator of <a> -> (ord a, encoded tail of the context
         #                           document, the partitions of <a>,
         #                           [(partition, reason)] of its violations)
-        shared: dict[int, tuple[int, str, object, list]] = {}
+        shared: dict[int, tuple[int, str, tuple, list]] = {}
         for a in units(n):
             if a in shared:
-                m_ord, tail, keys, bad = shared[a]
+                m_ord, tail, parts, bad = shared[a]
                 found = two_orbit_partitions_with_generators(
                     AffineActionContext._of_order(n, a, m_ord), cap=cap)
-                if found.keys() != keys:
+                if found != parts:
                     raise InvariantViolation(
                         f"n = {n}: a = {a} has other two-orbit partitions "
                         f"than a generator of the same subgroup <a>")
@@ -547,7 +457,7 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                 found = two_orbit_partitions_with_generators(ctx, cap=cap)
                 tail, bad = _encode_subgroup(ctx, found, layout,
                                              include_classes)
-                entry = m_ord, tail, found.keys(), bad
+                entry = m_ord, tail, found, bad
                 for j, x in enumerate(powers, 1):
                     if gcd(j, m_ord) == 1:
                         shared[x] = entry
@@ -565,7 +475,8 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
         "contexts_checked": contexts,
         "partitions_checked": total,
         "violation_count": len(violations),
-        "violations": [{"n": n, "a": a, "classes": list(part.classes(n)),
+        "violations": [{"n": n, "a": a,
+                        "classes": json.loads(part.classes_json(n)),
                         "reason": reason}
                        for n, a, part, reason in violations],
     }

@@ -10,7 +10,10 @@ reference for the connection-set graph code, trial division and the
 polynomial-power search as the reference for the field's modulus and omega,
 the polynomial-product table loop as the reference for the packed field
 tables, the power walk as the reference for multiplicative orders, and the
-per-partition report as the reference for the lemma report.
+per-partition report as the reference for the lemma report.  Partitions
+are rebuilt as orbits of their witness generators, their classes as int
+lists and their report order as a sort key, and the Paley parameters come
+from the closed form.
 Field sums in tests are taken on base-p digits and field products on
 coefficient vectors, and the powers of omega come from that loop, never
 from the field walk they check.
@@ -21,11 +24,12 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from rank3affine.errors import EmptySet, NotAUnit
+from rank3affine.errors import BadResidue, EmptySet, NotAUnit
 from rank3affine.fields import _poly_mul_mod
 from rank3affine.graphs import NotStronglyRegular, SrgParams
-from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1,
-                                  Case2, OrbitPartition, case_to_json,
+from rank3affine.values import Value
+from rank3affine.znaction import (AffineActionContext, Case1, Case2,
+                                  OrbitPartition, case_to_json,
                                   classify_partition,
                                   two_orbit_partitions_with_generators)
 
@@ -296,6 +300,65 @@ def loop_graph6(rows):
 
 
 # ---------------------------------------------------------------------------
+# the affine action, partitions and their report order
+# ---------------------------------------------------------------------------
+
+class AffineMapZn(Value):
+    """Element (t, s) of Z_n x| <alpha>, acting as u -> a^s * u + t."""
+
+    __slots__ = _fields = ("t", "s")
+
+
+def orbits(ctx, generators):
+    """Orbit partition of Z_n under the subgroup generated by the maps, as
+    frozensets in (size, smallest element) order.
+
+    Union-find closure: orbits of a generated permutation group are the
+    connected components of the union of the generators' functional graphs.
+    """
+    parent = list(range(ctx.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in generators:
+        mult = pow(ctx.a, g.s, ctx.n)
+        for u in range(ctx.n):
+            ru, rv = find(u), find((mult * u + g.t) % ctx.n)
+            if ru != rv:
+                parent[rv] = ru
+    groups = {}
+    for u in range(ctx.n):
+        groups.setdefault(find(u), []).append(u)
+    return sorted((frozenset(c) for c in groups.values()),
+                  key=lambda c: (len(c), min(c)))
+
+
+def classes(part, n):
+    """The two classes of Z_n of an OrbitPartition, each an ascending list."""
+    c1, c2 = [], []
+    for x in range(n):
+        (c1 if x % part.m in part.r1 else c2).append(x)
+    return c1, c2
+
+
+def sort_key(part, n):
+    """Report order on Z_n: first-class size, then m, then residues."""
+    return len(part.r1) * (n // part.m), part.m, sorted(part.r1)
+
+
+def paley_parameter_formula(q):
+    """(q, (q-1)/2, (q-5)/4, (q-1)/4) for q = 1 mod 4."""
+    if q % 4 != 1:
+        raise BadResidue(
+            f"q = {q} = {q % 4} mod 4; Paley parameters need q = 1 mod 4")
+    return SrgParams(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
+
+
+# ---------------------------------------------------------------------------
 # radicals and multiplicative orders, by walking
 # ---------------------------------------------------------------------------
 
@@ -440,7 +503,7 @@ def per_partition_lemma_report(n_max, include_classes=False):
             found = two_orbit_partitions_with_generators(ctx)
             entries = []
             counts = {"case1": 0, "case2": 0, "violations": 0}
-            for part in sorted(found, key=lambda part: part.sort_key(n)):
+            for part in sorted(found, key=lambda part: sort_key(part, n)):
                 case = classify_partition(ctx, part)
                 entry = case_to_json(case)
                 if isinstance(case, Case1):
@@ -450,10 +513,10 @@ def per_partition_lemma_report(n_max, include_classes=False):
                 else:
                     counts["violations"] += 1
                     violations.append({"n": n, "a": a,
-                                       "classes": list(part.classes(n)),
+                                       "classes": list(classes(part, n)),
                                        "reason": case.reason})
                 if include_classes:
-                    entry["classes"] = list(part.classes(n))
+                    entry["classes"] = list(classes(part, n))
                 entries.append(entry)
             docs.append(json.dumps({"n": n, "a": a, "m_ord": ctx.m_ord,
                                     "partitions": entries, **counts}))

@@ -13,7 +13,7 @@ from rank3affine.families import (GeneralizedPaley, Paley, Peisert, Unmatched,
                                   paley_index_set, peisert_index_set,
                                   vls_index_set)
 from rank3affine.fields import build_field
-from rank3affine.znaction import Case1, Case2, orbits, two_orbit_partitions_with_generators
+from rank3affine.znaction import Case1, Case2, two_orbit_partitions_with_generators
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,8 @@ def test_dictionary_equivariance():
 # ---------------------------------------------------------------------------
 
 def entry_classes(report, e):
-    return [frozenset(c) for c in e.partition.classes(report.field.q - 1)]
+    return [frozenset(c)
+            for c in oracles.classes(e.partition, report.field.q - 1)]
 
 
 def entry_class_sets(report):
@@ -63,7 +64,7 @@ def test_gf5_single_paley_partition():
     assert len(report.entries) == 1
     entry = report.entries[0]
     assert entry.family == Paley()
-    assert entry.partition.classes(4) == ([0, 2], [1, 3])
+    assert oracles.classes(entry.partition, 4) == ([0, 2], [1, 3])
     assert report.unmatched_count == 0
 
 
@@ -151,7 +152,7 @@ def test_matched_class_equals_family_set_up_to_shift_and_complement():
             else:
                 base = peisert_index_set(q, e.family.variant)
             target = {(x + e.shift) % n for x in base}
-            assert e.partition.classes(n) == \
+            assert oracles.classes(e.partition, n) == \
                 (sorted(target), sorted(set(range(n)) - target)), (q, e)
 
 
@@ -190,12 +191,18 @@ def test_lemma_case_matches_family_kind():
 
 
 def test_partitions_invariant_under_witness_subgroups():
+    # each partition the per-shift oracle finds is the orbit partition of
+    # its witness pair, and the enumeration lists exactly those, in report
+    # order
     for p, r in [(3, 2), (2, 4), (7, 2)]:
         field = build_field(p, r)
         ctx = gammal1_context(field)
-        for part, gens in two_orbit_partitions_with_generators(ctx).items():
-            classes = orbits(ctx, list(gens))
-            assert classes == [frozenset(c) for c in part.classes(ctx.n)]
+        found = oracles.per_shift_two_orbit_partitions(ctx)
+        for part, gens in found.items():
+            assert oracles.orbits(ctx, list(gens)) == \
+                [frozenset(c) for c in oracles.classes(part, ctx.n)]
+        assert two_orbit_partitions_with_generators(ctx) == tuple(
+            sorted(found, key=lambda part: oracles.sort_key(part, ctx.n)))
 
 
 def test_streamed_theorem_documents_match_the_list_encoding():

@@ -424,6 +424,37 @@ def test_output_onto_closed_fifo_is_usage_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]
 
 
+def test_output_through_symlink_writes_its_target(capsys, tmp_path):
+    # a link to a regular file stays a link, and the file it names, in
+    # another directory, is replaced by the report
+    data, link, plain = tmp_path / "data", tmp_path / "link.json", \
+        tmp_path / "plain.json"
+    data.mkdir()
+    target = data / "report.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    args = ("verify", "--lemma", "--n-max", "5")
+    assert run(capsys, *args, "--output", str(link))[0] == 0
+    assert run(capsys, *args, "--output", str(plain))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [data, link, plain]
+    assert list(data.iterdir()) == [target]
+
+
+def test_output_onto_dev_stdout_pipe_writes_through_it(tmp_path):
+    # /dev/stdout on a pipe is a link to a FIFO that resolves to no path,
+    # so it is written in place, not resolved
+    args = ["verify", "--lemma", "--n-max", "5"]
+    piped = subprocess.run(
+        [sys.executable, "-m", "rank3affine", *args, "--output", "/dev/stdout"],
+        env=SRC_ENV, capture_output=True, timeout=120)
+    plain = subprocess.run([sys.executable, "-m", "rank3affine", *args],
+                           env=SRC_ENV, capture_output=True, timeout=120)
+    assert piped.returncode == plain.returncode == 0, piped.stderr
+    assert piped.stdout == plain.stdout != b""
+
+
 def test_report_file_mode_matches_plain_open(capsys, tmp_path):
     report, plain = tmp_path / "thm.json", tmp_path / "plain"
     plain.write_text("")

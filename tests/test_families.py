@@ -7,9 +7,9 @@ from rank3affine.errors import (CharCondition, DegreeCondition, EmptySet,
                                 IndexOutOfRange, NotPrime, NotSymmetric,
                                 OrderCondition)
 from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley,
-                                  latin_square_tag, mult_order,
-                                  paley_connection_set, paley_index_set,
-                                  peisert_connection_set, vls_connection_set)
+                                  mult_order, paley_connection_set,
+                                  paley_index_set, peisert_connection_set,
+                                  vls_connection_set)
 from rank3affine.fields import build_field
 from rank3affine.classify import prime_powers_up_to, as_prime_power
 from rank3affine.znaction import OrbitPartition
@@ -215,7 +215,8 @@ def test_constructed_sets_are_symmetric():
 def coarsenings(n):
     """(first, second) classes of the Paley, Peisert 1 and Peisert 3
     coarsenings of the quartic classes of Z_n."""
-    return [tuple(frozenset(c) for c in OrbitPartition(m, r1).classes(n))
+    return [tuple(frozenset(c)
+                  for c in oracles.classes(OrbitPartition(m, r1), n))
             for m, r1 in ((2, {0}), (4, {0, 1}), (4, {0, 3}))]
 
 
@@ -270,12 +271,6 @@ def test_coarsenings_invariant_under_their_subgroups():
 # ---------------------------------------------------------------------------
 # tags and containers
 # ---------------------------------------------------------------------------
-
-def test_latin_square_tags():
-    assert latin_square_tag(GeneralizedPaley(3, 2)) == "negative-latin-square"
-    assert latin_square_tag(GeneralizedPaley(3, 1)) == "latin-square"
-    assert latin_square_tag(GeneralizedPaley(2, 4)) == "classical-paley"
-
 
 def test_connection_set_validation():
     f = build_field(3, 2)

@@ -8,6 +8,7 @@ import hashlib
 
 import pytest
 
+from rank3affine.classify import prime_powers_up_to, verify_theorem
 from rank3affine.cli import main
 from rank3affine.fields import FiniteField
 from rank3affine.znaction import verify_lemma
@@ -107,6 +108,9 @@ def test_verify_and_classify_never_walk_the_powers(name, tmp_path, capsys,
 # sha256 of the verify --lemma --n-max 400 report (78 MB, 48,677 contexts)
 LEMMA400_SHA256 = (
     "f826c8c95f82b229a1024ee9deb2207ac91d28f2c9b086d9fafcf1cc9bf26b1b")
+# and of the verify --theorem --q-max 4096 report (7.3 MB, 604 fields)
+THEOREM4096_SHA256 = (
+    "676517923d1527697e83644a4850456a715a491c70f6be416dd6383b267b0ae9")
 
 
 class Sha256Sink:
@@ -123,3 +127,11 @@ def test_lemma400_stream_matches_pinned_sha256():
     sink = Sha256Sink()
     verify_lemma(400, sink=sink)
     assert sink.hash.hexdigest() == LEMMA400_SHA256
+
+
+def test_theorem4096_stream_matches_pinned_sha256():
+    # GF(4096) lists the classes of three odd primes, 13, 5 and 3, in
+    # report order as enumerated
+    sink = Sha256Sink()
+    verify_theorem(prime_powers_up_to(4096), sink=sink)
+    assert sink.hash.hexdigest() == THEOREM4096_SHA256

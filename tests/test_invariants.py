@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import oracles
 import rank3affine
 from rank3affine import fields
 from rank3affine.errors import (BadVariant, FieldMismatch, IndexOutOfRange,
@@ -18,8 +19,8 @@ from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley,
                                   peisert_connection_set)
 from rank3affine.fields import FiniteField, build_field, prime_factors
 from rank3affine.graphs import NotStronglyRegular, SrgParams, build_cayley
-from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1,
-                                  Case2, OrbitPartition, Violation)
+from rank3affine.znaction import (AffineActionContext, Case1, Case2,
+                                  OrbitPartition, Violation)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rank3affine"
 
@@ -68,7 +69,8 @@ def test_every_exported_name_resolves():
 
 VALUES = [
     Paley(), Unmatched(), GeneralizedPaley(3, 2), Peisert(variant=1),
-    Case1(m=2, shift=0), Case2(1), Violation("reason"), AffineMapZn(1, 0),
+    Case1(m=2, shift=0), Case2(1), Violation("reason"),
+    oracles.AffineMapZn(1, 0),
     OrbitPartition(2, frozenset({0})), SrgParams(5, 2, 0, 1),
     NotStronglyRegular((0, 1), "reason"),
     ClassifiedPartition(OrbitPartition(2, frozenset({0})), Case1(2, 0),

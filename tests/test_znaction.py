@@ -12,15 +12,15 @@ from rank3affine.errors import (CapExceeded, EmptySet, InvariantViolation,
 from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.fields import is_prime
 import rank3affine.znaction as znaction
-from rank3affine.znaction import (AffineActionContext, AffineMapZn, Case1, Case2,
+from rank3affine.znaction import (AffineActionContext, Case1, Case2,
                                   OrbitPartition, Violation, _radical_full_table,
-                                  classify_partition, orbits,
+                                  classify_partition,
                                   two_orbit_partitions_with_generators, units,
                                   verify_lemma)
 
 
 def class_sets(part, n):
-    return [frozenset(c) for c in part.classes(n)]
+    return [frozenset(c) for c in oracles.classes(part, n)]
 
 
 def partition_sets(ctx):
@@ -85,6 +85,7 @@ def test_context_order():
 
 
 def test_orbit_examples():
+    orbits, AffineMapZn = oracles.orbits, oracles.AffineMapZn
     ctx = AffineActionContext(5, 2)
     assert orbits(ctx, [AffineMapZn(1, 0)]) == [frozenset(range(5))]
     assert orbits(ctx, [AffineMapZn(0, 1)]) == [frozenset({0}), frozenset({1, 2, 3, 4})]
@@ -132,7 +133,7 @@ def test_trivial_alpha_context():
     parts = two_orbit_partitions_with_generators(AffineActionContext(4, 1))
     assert len(parts) == 1
     (p,) = parts
-    assert p.classes(4) == ([0, 2], [1, 3])
+    assert oracles.classes(p, 4) == ([0, 2], [1, 3])
     case = classify_partition(AffineActionContext(4, 1), p)
     assert case == Case1(m=2, shift=0)
 
@@ -143,29 +144,38 @@ def test_enumeration_cap():
                                              cap=4096)
 
 
+def in_report_order(parts, n):
+    return tuple(sorted(parts, key=lambda part: oracles.sort_key(part, n)))
+
+
 def test_witness_generators_reproduce_partitions():
+    # each partition of the per-shift scan is the orbit partition of its
+    # witness pair, and the enumeration lists exactly those, in report
+    # order
     for n in range(2, 28):
         for a in units(n):
             ctx = AffineActionContext(n, a)
-            for part, gens in two_orbit_partitions_with_generators(ctx).items():
-                classes = orbits(ctx, list(gens))
-                assert len(classes) == 2
-                assert classes == class_sets(part, n)
+            found = oracles.per_shift_two_orbit_partitions(ctx)
+            for part, gens in found.items():
+                assert oracles.orbits(ctx, list(gens)) == \
+                    class_sets(part, n), (n, a, part)
+            assert two_orbit_partitions_with_generators(ctx) == \
+                in_report_order(found, n), (n, a)
 
 
 def radical_full_oracle(k, b):
-    # the per-shift cycle-count table, kept to the partitions with radical k
-    entries = [(part, t) for part, t in zip(*oracles.per_shift_table(k, b))
-               if part.m == k]
-    return tuple(part for part, _ in entries), tuple(t for _, t in entries)
+    # the per-shift cycle-count table, kept to the partitions with radical
+    # k, in report order on Z_k
+    parts, _ = oracles.per_shift_table(k, b)
+    return in_report_order((part for part in parts if part.m == k), k)
 
 
 def test_translation_table_closed_form_for_b_one():
     # a translation has radical-full two-cycle partitions only on Z_2
     evens = OrbitPartition(2, frozenset({0}))
-    assert _radical_full_table(2, 1) == ((evens,), (0,))
+    assert _radical_full_table(2, 1) == (evens,)
     for k in range(3, 1000):
-        assert _radical_full_table(k, 1) == ((), ()), k
+        assert _radical_full_table(k, 1) == (), k
 
 
 def test_tables_match_per_shift_scan():
@@ -174,9 +184,8 @@ def test_tables_match_per_shift_scan():
     nonempty = 0
     for k in range(2, 91):
         for b in units(k):
-            parts, shifts = _radical_full_table(k, b)
-            # an odd prime's witnesses are a range, the others a tuple
-            assert (parts, tuple(shifts)) == radical_full_oracle(k, b), (k, b)
+            parts = _radical_full_table(k, b)
+            assert parts == radical_full_oracle(k, b), (k, b)
             nonempty += bool(parts)
     # k = 2, (k, b) = (4, 3), and the phi(p - 1) primitive roots of each odd
     # prime p < 91
@@ -197,20 +206,20 @@ def test_parity_swapping_tables_match_per_shift_scan():
 
 
 def test_matches_per_shift_oracle_lemma_contexts():
-    # same keys, same witness pairs, same order
+    # the same partitions, in report order
     for n in range(2, 121):
         for a in units(n):
             ctx = AffineActionContext(n, a)
-            assert list(two_orbit_partitions_with_generators(ctx).items()) == \
-                list(oracles.per_shift_two_orbit_partitions(ctx).items()), (n, a)
+            assert two_orbit_partitions_with_generators(ctx) == in_report_order(
+                oracles.per_shift_two_orbit_partitions(ctx), n), (n, a)
 
 
 def test_matches_per_shift_oracle_field_contexts():
     for q in prime_powers_up_to(512)[1:] + [4096]:
         p, _ = as_prime_power(q)
         ctx = AffineActionContext(q - 1, p % (q - 1))
-        assert list(two_orbit_partitions_with_generators(ctx).items()) == \
-            list(oracles.per_shift_two_orbit_partitions(ctx).items()), q
+        assert two_orbit_partitions_with_generators(ctx) == in_report_order(
+            oracles.per_shift_two_orbit_partitions(ctx), q - 1), q
 
 
 def test_matches_pair_closure_oracle_small():
@@ -239,18 +248,18 @@ def test_canonical_ordering():
         for a in units(n):
             for part in two_orbit_partitions_with_generators(
                     AffineActionContext(n, a)):
-                c1, c2 = part.classes(n)
+                c1, c2 = oracles.classes(part, n)
                 assert (len(c1), c1[0]) < (len(c2), c2[0])
 
 
 def test_orbit_partition_classes_and_sort_key():
     part = OrbitPartition(4, frozenset({0, 3}))
-    assert part.classes(8) == ([0, 3, 4, 7], [1, 2, 5, 6])
-    assert part.classes(4) == ([0, 3], [1, 2])
-    assert part.sort_key(8) == (4, 4, [0, 3])
+    assert oracles.classes(part, 8) == ([0, 3, 4, 7], [1, 2, 5, 6])
+    assert oracles.classes(part, 4) == ([0, 3], [1, 2])
+    assert oracles.sort_key(part, 8) == (4, 4, [0, 3])
     singleton = OrbitPartition(5, frozenset({2}))
-    assert singleton.classes(5) == ([2], [0, 1, 3, 4])
-    assert singleton.sort_key(5) < part.sort_key(8)
+    assert oracles.classes(singleton, 5) == ([2], [0, 1, 3, 4])
+    assert oracles.sort_key(singleton, 5) < oracles.sort_key(part, 8)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
@@ -268,8 +277,8 @@ def test_classes_json_matches_the_list_encoding(monkeypatch, order):
     for part in shapes:
         ns = range(part.m, 241, part.m)
         for n in (ns if order == "ascending" else reversed(ns)):
-            assert part.classes_json(n) == json.dumps(list(part.classes(n))), \
-                (part, n)
+            assert part.classes_json(n) == \
+                json.dumps(list(oracles.classes(part, n))), (part, n)
             checked += 1
     assert len(OrbitPartition._digits) == 240
     assert checked == 2 * 120 + 2 * 60 + sum(m * (240 // m)
@@ -356,7 +365,7 @@ def test_enumerated_partitions_share_radical_and_case_shapes():
         for a in units(n):
             ctx = AffineActionContext(n, a)
             for part in two_orbit_partitions_with_generators(ctx):
-                c1, c2 = part.classes(n)
+                c1, c2 = oracles.classes(part, n)
                 assert oracles.radical(c1, n) == oracles.radical(c2, n) == part.m
                 case = classify_partition(ctx, part)
                 if isinstance(case, Case1):
@@ -461,10 +470,10 @@ def test_verify_lemma_expands_shared_violations_per_unit(monkeypatch):
         for a in units(n):
             ctx = AffineActionContext(n, a)
             found = two_orbit_partitions_with_generators(ctx)
-            for part in sorted(found, key=lambda part: part.sort_key(n)):
+            for part in sorted(found, key=lambda part: oracles.sort_key(part, n)):
                 if isinstance(inject(ctx, part), Violation):
                     expected.append({"n": n, "a": a,
-                                     "classes": list(part.classes(n)),
+                                     "classes": list(oracles.classes(part, n)),
                                      "reason": "injected"})
     # 3 and 11 generate the same subgroup of Z_16^*, and each keeps its own a
     assert [(v["n"], v["a"]) for v in expected] == [
@@ -511,9 +520,7 @@ def test_verify_lemma_checks_each_unit_against_its_subgroup(monkeypatch):
 
     def drop_one(ctx, cap=znaction.DEFAULT_N_CAP):
         found = real(ctx, cap=cap)
-        if (ctx.n, ctx.a) == (5, 3):
-            found.pop(next(iter(found)))
-        return found
+        return found[1:] if (ctx.n, ctx.a) == (5, 3) else found
 
     monkeypatch.setattr(znaction, "two_orbit_partitions_with_generators",
                         drop_one)
@@ -524,9 +531,9 @@ def test_verify_lemma_checks_each_unit_against_its_subgroup(monkeypatch):
 @pytest.mark.parametrize("drop, add", [(0, False), (None, True), (2, True)])
 def test_verify_lemma_refuses_partitions_off_the_table_layout(monkeypatch,
                                                               drop, add):
-    # a subgroup is encoded from the table layout, not from its dictionary,
-    # so part of a class left out, or a partition the layout lacks, must
-    # raise rather than vanish from the report; both at once keep the count
+    # a subgroup is encoded from the table layout, not from its tuple, so
+    # part of a class left out, or a partition the layout lacks, must raise
+    # rather than vanish from the report; both at once keep the count
     # right.  3 is the first primitive root mod 7, the first unit with any
     # partition
     real = two_orbit_partitions_with_generators
@@ -535,9 +542,10 @@ def test_verify_lemma_refuses_partitions_off_the_table_layout(monkeypatch,
         found = real(ctx, cap=cap)
         if ctx.n == 7 and found:
             if drop is not None:
-                del found[OrbitPartition(7, {drop})]
+                found = tuple(part for part in found
+                              if part is not OrbitPartition(7, {drop}))
             if add:
-                found[OrbitPartition(7, {0, 1})] = next(iter(found.values()))
+                found += (OrbitPartition(7, {0, 1}),)
         return found
 
     monkeypatch.setattr(znaction, "two_orbit_partitions_with_generators",
