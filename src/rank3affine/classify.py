@@ -6,8 +6,9 @@ Frobenius map is multiplication by p.  Every two-orbit subgroup partition
 of that context is classified by the lemma, and its case names the family:
 case 1 with m = 2 is the Paley set, case 1 with an odd prime m the
 generalized Paley set of index m, and case 2 a Peisert set.  Each is
-matched when that family's preconditions hold for GF(q).  No class is
-compared with a family set: a case-1 first class is the single coset
+matched when that family's preconditions hold for GF(q), as checked by
+families.vls_label and peisert_label, so no connection set is built.  No
+class is compared with a family set: a case-1 first class is the single coset
 shift + mZ_{q-1}, the family set translated by shift (a multiplicative
 shift of the connection set, hence a graph isomorphism), and a case-2
 first class has residues {0, variant} mod 4, the Peisert set itself.
@@ -28,14 +29,12 @@ the classes as lists, serves classify's indented report and the tests.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 
 from .errors import (CapExceeded, CharCondition, DegenerateModulus,
                      DegreeCondition, InvariantViolation, NotPrime,
                      NotPrimePower, OrderCondition)
 from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
-                       label_to_json, peisert_connection_set,
-                       vls_connection_set)
+                       label_to_json, peisert_label, vls_label)
 from .fields import FiniteField, build_field
 from .znaction import (AffineActionContext, Case1, Case2, LemmaCase,
                        OrbitPartition, Violation, case_to_json,
@@ -125,14 +124,6 @@ def family_key(label: FamilyLabel) -> str:
     return "unmatched"
 
 
-@lru_cache(maxsize=8)
-def _vls_label(field: FiniteField, ell: int) -> FamilyLabel:
-    # the label of the index-ell subgroup depends on the field and ell
-    # alone; report order keeps one ell's partitions together, so a field
-    # builds each of its subgroups once, and a few entries are kept
-    return vls_connection_set(field, ell, allow_directed=True).label
-
-
 def _match_family(field: FiniteField, case: LemmaCase) -> tuple[FamilyLabel, int]:
     """The family the lemma case points at, if GF(q) meets its preconditions.
 
@@ -143,9 +134,9 @@ def _match_family(field: FiniteField, case: LemmaCase) -> tuple[FamilyLabel, int
         if isinstance(case, Case1):
             if case.m == 2:
                 return Paley(), case.shift
-            return _vls_label(field, case.m), case.shift
+            return vls_label(field, case.m), case.shift
         if isinstance(case, Case2):
-            return peisert_connection_set(field, case.variant).label, 0
+            return peisert_label(field, case.variant), 0
     except (NotPrime, OrderCondition, DegreeCondition, CharCondition):
         pass
     return Unmatched(), 0

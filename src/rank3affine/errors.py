@@ -82,10 +82,6 @@ class TooLarge(Rank3Error):
     pass
 
 
-class BadResidue(Rank3Error):
-    pass
-
-
 class DegenerateModulus(Rank3Error):
     """q = 2 leaves nothing to act on: Z_1 has no two-orbit partitions."""
 

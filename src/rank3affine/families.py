@@ -12,6 +12,8 @@ constructions:
 
 Symmetry (S = -S, needed for an undirected graph) is enforced at
 construction; allow_directed=True skips the check for exploratory use.
+vls_label and peisert_label check a family's preconditions without building
+a set; the constructors call them first, and classify calls only them.
 """
 
 from __future__ import annotations
@@ -99,20 +101,13 @@ class ConnectionSet:
                 f"label={self.label!r})")
 
 
-def _require_symmetric(conn: ConnectionSet, allow_directed: bool, detail: str) -> ConnectionSet:
-    if not allow_directed and not conn.is_symmetric():
-        raise NotSymmetric(detail)
-    return conn
-
-
 def vls_index_set(q: int, ell: int) -> frozenset:
     """Indices of <omega^ell> in Z_{q-1} (requires ell | q - 1)."""
     return frozenset(range(0, q - 1, ell))
 
 
-def vls_connection_set(field: FiniteField, ell: int,
-                       allow_directed: bool = False) -> ConnectionSet:
-    """The index-ell subgroup of F_q^* as a generalized Paley connection set."""
+def vls_label(field: FiniteField, ell: int) -> GeneralizedPaley:
+    """The index-ell subgroup's label; raises on its first failed precondition."""
     if not is_prime(ell):
         raise NotPrime(f"ell = {ell} is not prime")
     if field.p % ell == 0:
@@ -122,13 +117,19 @@ def vls_connection_set(field: FiniteField, ell: int,
         raise OrderCondition(f"ord_{ell}({field.p}) = {o} != {ell - 1}")
     if field.r % (ell - 1) != 0:
         raise DegreeCondition(f"(ell - 1) = {ell - 1} does not divide r = {field.r}")
-    k = field.r // (ell - 1)
+    return GeneralizedPaley(ell, field.r // (ell - 1))
+
+
+def vls_connection_set(field: FiniteField, ell: int,
+                       allow_directed: bool = False) -> ConnectionSet:
+    """The index-ell subgroup of F_q^* as a generalized Paley connection set."""
+    label = vls_label(field, ell)
     # ell | p^(ell-1) - 1 | q - 1, so the subgroup has index exactly ell
-    conn = ConnectionSet(field, vls_index_set(field.q, ell), GeneralizedPaley(ell, k))
-    return _require_symmetric(
-        conn, allow_directed,
-        f"<omega^{ell}> is not closed under negation for q = {field.q}"
-        f" (q = 3 mod 4)")
+    conn = ConnectionSet(field, vls_index_set(field.q, ell), label)
+    if not allow_directed and not conn.is_symmetric():
+        raise NotSymmetric(f"<omega^{ell}> is not closed under negation for "
+                           f"q = {field.q} (q = 3 mod 4)")
+    return conn
 
 
 def paley_index_set(q: int) -> frozenset:
@@ -148,15 +149,21 @@ def peisert_index_set(q: int, variant: int) -> frozenset:
     return frozenset(i for i in range(q - 1) if i % 4 in (0, variant))
 
 
-def peisert_connection_set(field: FiniteField, variant: int = 1) -> ConnectionSet:
-    """<omega^4> u <omega^4> omega^variant, variant in {1, 3}."""
+def peisert_label(field: FiniteField, variant: int) -> Peisert:
+    """The Peisert set's label; raises on its first failed precondition."""
     if variant not in (1, 3):
         raise BadVariant(f"variant must be 1 or 3, got {variant}")
     if field.p % 4 != 3:
         raise CharCondition(f"p = {field.p} = {field.p % 4} mod 4; need p = 3 mod 4")
     if field.r % 2 != 0:
         raise DegreeCondition(f"r = {field.r} must be even")
-    conn = ConnectionSet(field, peisert_index_set(field.q, variant), Peisert(variant))
+    return Peisert(variant)
+
+
+def peisert_connection_set(field: FiniteField, variant: int = 1) -> ConnectionSet:
+    """<omega^4> u <omega^4> omega^variant, variant in {1, 3}."""
+    label = peisert_label(field, variant)
+    conn = ConnectionSet(field, peisert_index_set(field.q, variant), label)
     if len(conn) * 2 != field.q - 1:
         raise InvariantViolation(
             f"Peisert set has {len(conn)} indices, not (q - 1)/2 for q = {field.q}")

@@ -12,8 +12,9 @@ the polynomial-product table loop as the reference for the packed field
 tables, the power walk as the reference for multiplicative orders, and the
 per-partition report as the reference for the lemma report.  Partitions
 are rebuilt as orbits of their witness generators, their classes as int
-lists and their report order as a sort key, and the Paley parameters come
-from the closed form.
+lists and their report order as a sort key, the Paley parameters come
+from the closed form, and so does the number of two-orbit partitions of
+each field.
 Field sums in tests are taken on base-p digits and field products on
 coefficient vectors, and the powers of omega come from that loop, never
 from the field walk they check.
@@ -24,7 +25,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from rank3affine.errors import BadResidue, EmptySet, NotAUnit
+from rank3affine.errors import EmptySet, NotAUnit, Rank3Error
 from rank3affine.fields import _poly_mul_mod
 from rank3affine.graphs import NotStronglyRegular, SrgParams
 from rank3affine.values import Value
@@ -350,6 +351,10 @@ def sort_key(part, n):
     return len(part.r1) * (n // part.m), part.m, sorted(part.r1)
 
 
+class BadResidue(Rank3Error):
+    """q is not 1 mod 4, so the Paley parameter formula does not apply."""
+
+
 def paley_parameter_formula(q):
     """(q, (q-1)/2, (q-5)/4, (q-1)/4) for q = 1 mod 4."""
     if q % 4 != 1:
@@ -391,6 +396,29 @@ def loop_mult_order(x, modulus):
         if order > modulus:
             raise NotAUnit(f"{x} is not a unit mod {modulus}")
     return order
+
+
+def closed_form_count(p, r):
+    """The number of two-orbit partitions of GF(p^r)^* under GammaL(1, p^r),
+    without enumerating them: 1 (the squares) if 2 | q - 1, 2 (the Peisert
+    halves) if 4 | q - 1 and p = 3 mod 4, and ell (the cosets of the
+    index-ell subgroup) for each odd prime ell | q - 1 of which p is a
+    primitive root, by trial division and the power walk."""
+    n = p ** r - 1
+    count = (n % 2 == 0) + 2 * (n % 4 == 0 and p % 4 == 3)
+    while n % 2 == 0:
+        n //= 2
+    ell = 3
+    while n > 1:
+        if ell * ell > n:
+            ell = n
+        if n % ell == 0:
+            if loop_mult_order(p, ell) == ell - 1:
+                count += ell
+            while n % ell == 0:
+                n //= ell
+        ell += 2
+    return count
 
 
 # ---------------------------------------------------------------------------

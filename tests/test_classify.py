@@ -8,9 +8,12 @@ import rank3affine.classify as classify
 from rank3affine.classify import (as_prime_power, classify_field, family_key,
                                   gammal1_context, prime_powers_up_to,
                                   verify_theorem)
-from rank3affine.errors import CapExceeded, DegenerateModulus
+from rank3affine import families
+from rank3affine.errors import (CapExceeded, CharCondition, DegenerateModulus,
+                                DegreeCondition, NotPrime, OrderCondition)
 from rank3affine.families import (GeneralizedPaley, Paley, Peisert, Unmatched,
-                                  paley_index_set, peisert_index_set,
+                                  paley_index_set, peisert_connection_set,
+                                  peisert_index_set, vls_connection_set,
                                   vls_index_set)
 from rank3affine.fields import build_field
 from rank3affine.znaction import Case1, Case2, two_orbit_partitions_with_generators
@@ -156,27 +159,44 @@ def test_matched_class_equals_family_set_up_to_shift_and_complement():
                 (sorted(target), sorted(set(range(n)) - target)), (q, e)
 
 
-def test_vls_subgroup_built_once_per_field_and_index(monkeypatch):
-    # the label depends only on (q, m): GF(4096) has 13, 5 and 3 case-1
-    # partitions of m = 13, 5 and 3, and builds each subgroup once
-    built = []
-    real = classify.vls_connection_set
+def test_labels_match_the_constructors():
+    # classify reads each label from the preconditions alone; the
+    # constructors build the set and must give the same label, and raise
+    # exactly where classify reports Unmatched
+    errors = (NotPrime, OrderCondition, DegreeCondition, CharCondition)
+    for q in prime_powers_up_to(4096):
+        field = build_field(*as_prime_power(q))
+        for e in classify_field(field).entries:
+            case = e.lemma_case
+            if isinstance(case, Case1) and case.m == 2:
+                assert e.family == Paley(), (q, e)
+                continue
+            try:
+                if isinstance(case, Case1):
+                    label = vls_connection_set(field, case.m,
+                                               allow_directed=True).label
+                else:
+                    label = peisert_connection_set(field, case.variant).label
+            except errors:
+                label = Unmatched()
+            assert e.family == label, (q, e)
 
-    def counting(field, ell, allow_directed=False):
-        built.append((field.q, ell))
-        return real(field, ell, allow_directed=allow_directed)
 
-    monkeypatch.setattr(classify, "vls_connection_set", counting)
-    classify._vls_label.cache_clear()
+def test_classify_builds_no_connection_set(monkeypatch):
+    # labels come from the preconditions, so a constructor that raises is
+    # never reached; GF(4096) still has 13, 5 and 3 case-1 partitions of
+    # m = 13, 5 and 3, all generalized Paley
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built a connection set")
+
+    for name in ("paley_connection_set", "vls_connection_set",
+                 "peisert_connection_set"):
+        monkeypatch.setattr(families, name, refuse)
+        monkeypatch.setattr(classify, name, refuse, raising=False)
     report = classify_field(build_field(2, 12))
     assert [e.lemma_case.m for e in report.entries
             if isinstance(e.family, GeneralizedPaley)] == [13] * 13 + [5] * 5 + [3] * 3
-    assert built == [(4096, 13), (4096, 5), (4096, 3)]
-    # and over a sweep, once per (field, m), with the cache kept small
-    built.clear()
-    verify_theorem(prime_powers_up_to(1024) + [4096])
-    assert built and len(built) == len(set(built))
-    assert classify._vls_label.cache_info().currsize <= 8
+    assert verify_theorem(prime_powers_up_to(1024) + [4096])["all_matched"]
 
 
 def test_lemma_case_matches_family_kind():
@@ -271,3 +291,6 @@ def test_verify_theorem_past_the_default_cap():
     summary = verify_theorem(qs, cap=16384)
     assert summary["fields_checked"] == len(qs) == 1357
     assert summary["unmatched_total"] == 0 and summary["all_matched"]
+    # and each field's count is the closed form, found without enumerating
+    for f in summary["fields"]:
+        assert f["partitions"] == oracles.closed_form_count(f["p"], f["r"]), f

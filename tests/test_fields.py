@@ -111,9 +111,26 @@ def test_rabin_test_agrees_with_trial_division():
     assert checked == 87760
 
 
+def sampled_primes(lo, hi, count, rng):
+    out = set()
+    while len(out) < count:
+        p = rng.randrange(lo, hi)
+        if is_prime(p):
+            out.add(p)
+    return sorted(out)
+
+
+# past 2^16, up to the field cap: the largest prime, a seeded sample of
+# primes and of squares p^2 with 256 < p < 1024
+_RNG = random.Random(20)
+LARGE_FIELDS = ([1048573] + sampled_primes(65537, 2 ** 20, 8, _RNG)
+                + [p * p for p in sampled_primes(257, 1024, 4, _RNG)])
+
+
 @pytest.mark.parametrize("q", prime_powers_up_to(4096)
                          + [2 ** r for r in range(13, 17)]
-                         + [p * p for p in range(67, 256) if is_prime(p)])
+                         + [p * p for p in range(67, 256) if is_prime(p)]
+                         + LARGE_FIELDS)
 def test_modulus_and_omega_match_the_search_oracles(q):
     f = build_field(*as_prime_power(q))
     modulus = oracles.trial_division_modulus(f.p, f.r)

@@ -173,8 +173,7 @@ def test_feasibility_identity_enforced():
 def test_paley_formula():
     assert oracles.paley_parameter_formula(9).as_tuple() == (9, 4, 1, 2)
     assert oracles.paley_parameter_formula(49).as_tuple() == (49, 24, 11, 12)
-    from rank3affine.errors import BadResidue
-    with pytest.raises(BadResidue):
+    with pytest.raises(oracles.BadResidue):
         oracles.paley_parameter_formula(7)
 
 
