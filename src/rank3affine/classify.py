@@ -35,7 +35,7 @@ from .errors import (CapExceeded, CharCondition, DegenerateModulus,
                      NotPrimePower, OrderCondition)
 from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
                        label_to_json, peisert_label, vls_label)
-from .fields import FiniteField, build_field
+from .fields import FiniteField, build_field, mult_order
 from .znaction import (AffineActionContext, Case1, Case2, LemmaCase,
                        OrbitPartition, Violation, case_to_json,
                        classify_partition, json_splice,
@@ -50,11 +50,12 @@ def gammal1_context(field: FiniteField) -> AffineActionContext:
     if field.q == 2:
         raise DegenerateModulus(
             "q = 2: F_q^* is a single point, no two-orbit partitions exist")
-    ctx = AffineActionContext(field.q - 1, field.p % (field.q - 1))
+    ctx = AffineActionContext(field.q - 1, field.p)
     # p^j = 1 mod (q-1) forces p^j - 1 >= q - 1, so the order is exactly r
-    if ctx.m_ord != field.r:
+    order = mult_order(ctx.a, ctx.n)
+    if order != field.r:
         raise InvariantViolation(
-            f"p = {field.p} has order {ctx.m_ord} mod {field.q - 1}, not r = {field.r}")
+            f"p = {field.p} has order {order} mod {ctx.n}, not r = {field.r}")
     return ctx
 
 
@@ -79,9 +80,9 @@ class ClassifiedPartition(Value):
 
 
 class ClassificationReport(Value):
-    """A field's ClassifiedPartitions; unlike other values, mutable."""
+    """A field's ClassifiedPartitions.  Its entries are a list, so it does
+    not hash."""
     __slots__ = _fields = ("field", "entries", "unmatched_count")
-    __setattr__, __hash__ = object.__setattr__, None
 
     def families_present(self) -> list[str]:
         seen = set()

@@ -20,7 +20,7 @@ from .errors import (CapExceeded, ModulusOutOfRange, OutputNotWritable,
                      Rank3Error)
 from .families import (label_to_json, paley_connection_set,
                        peisert_connection_set, vls_connection_set)
-from .fields import DEFAULT_FIELD_CAP, build_field
+from .fields import DEFAULT_FIELD_CAP, build_field, exceeds_cap
 from .graphs import (DEFAULT_SRG_CAP, NotStronglyRegular, build_cayley,
                      export_edge_list, export_graph6, srg_params)
 from .znaction import DEFAULT_N_CAP, verify_lemma
@@ -202,10 +202,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # reject on the cap before building the field; p^r >= 2^r bounds the
-    # exponent so a huge --r is not raised to a power
-    if args.p >= 2 and args.r >= 1 and (args.r >= args.cap.bit_length()
-                                        or args.p ** args.r > args.cap):
+    # reject on the cap before building the field
+    if exceeds_cap(args.p, args.r, args.cap):
         raise CapExceeded(
             f"q = {args.p}^{args.r} exceeds the classification cap {args.cap}")
     field = build_field(args.p, args.r)

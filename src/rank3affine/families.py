@@ -108,6 +108,10 @@ def vls_index_set(q: int, ell: int) -> frozenset:
 
 def vls_label(field: FiniteField, ell: int) -> GeneralizedPaley:
     """The index-ell subgroup's label; raises on its first failed precondition."""
+    # r = (ell - 1) k needs ell - 1 <= r < q: a larger ell fails the degree
+    # condition before a primality test or an order that would not end
+    if ell > field.q:
+        raise DegreeCondition(f"(ell - 1) = {ell - 1} does not divide r = {field.r}")
     if not is_prime(ell):
         raise NotPrime(f"ell = {ell} is not prime")
     if field.p % ell == 0:

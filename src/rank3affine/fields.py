@@ -34,18 +34,13 @@ DEFAULT_FIELD_CAP = 2 ** 20
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_factors(n) == (n,)
+
+
+def exceeds_cap(p: int, r: int, cap: int) -> bool:
+    """Whether q = p^r > cap, for p >= 2 and r >= 1, never forming a huge
+    p^r: 2^r > cap once r >= its bit length."""
+    return p >= 2 and r >= 1 and (r >= cap.bit_length() or p ** r > cap)
 
 
 @lru_cache(maxsize=None)
@@ -176,10 +171,11 @@ class FiniteField:
     """GF(p^r) as p, r, q, its modulus and omega; it stores no table."""
 
     def __init__(self, p: int, r: int, cap: int = DEFAULT_FIELD_CAP):
-        # cap first, never forming a huge p^r: 2^r > cap once r >= its bit length
-        if p >= 2 and r >= 1 and (r >= cap.bit_length() or p ** r > cap):
+        if exceeds_cap(p, r, cap):
             raise CapExceeded(f"q = {p}^{r} exceeds the field cap {cap}")
-        if not is_prime(p):
+        # the cap bounds p only for r >= 1; a p over it with r < 1 gets the
+        # degree error, with no primality test of a huge p
+        if (r >= 1 or p <= cap) and not is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if r < 1:
             raise DegreeOutOfRange(f"extension degree r = {r} must be >= 1")

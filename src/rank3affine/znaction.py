@@ -88,8 +88,9 @@ and any other verdict, are classified one by one.  Per unit: its own
 enumeration, which must be the subgroup's tuple, its own header and its
 own violations.  A unit's enumeration visits only k = 2, 4 and the odd
 primes p | n, each p by one primitive-root test (a pow per prime of
-p - 1, factored once), and joins the shared tables of interned
-partitions.
+p - 1, factored once), and joins tables that hold one partition object
+per (k, residue) for the life of the process, so the tuples of two units
+compare by identity.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ from itertools import chain, compress
 from math import gcd
 
 from .errors import (CapExceeded, InvariantViolation, MalformedPartition,
-                     ModulusOutOfRange)
-from .fields import is_prime, is_primitive_root, mult_order, prime_factors
+                     ModulusOutOfRange, NotAUnit)
+from .fields import is_prime, is_primitive_root, prime_factors
 from .values import Value
 
 DEFAULT_N_CAP = 4096
@@ -114,24 +115,18 @@ def units(n: int) -> list[int]:
 class AffineActionContext:
     """Immutable context (n, a): alpha = multiplication by a on Z_n."""
 
-    __slots__ = ("n", "a", "m_ord")
+    __slots__ = ("n", "a")
 
     def __init__(self, n: int, a: int):
         if n < 2:
             raise ModulusOutOfRange(f"modulus n = {n} must be >= 2")
+        if gcd(a, n) != 1:
+            raise NotAUnit(f"{a % n} is not a unit mod {n}")
         self.n = n
         self.a = a % n
-        self.m_ord = mult_order(self.a, n)  # raises NotAUnit
-
-    @classmethod
-    def _of_order(cls, n: int, a: int, m_ord: int) -> AffineActionContext:
-        # a unit a in [1, n) whose order m_ord is known, from a walk of <a>
-        self = object.__new__(cls)
-        self.n, self.a, self.m_ord = n, a, m_ord
-        return self
 
     def __repr__(self) -> str:
-        return f"AffineActionContext(n={self.n}, a={self.a}, m_ord={self.m_ord})"
+        return f"AffineActionContext(n={self.n}, a={self.a})"
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +139,10 @@ class OrbitPartition(Value):
     m is the radical index, rad(O1) = rad(O2) = m Z_n, so both classes are
     unions of m-cosets.  r1 holds the residues mod m of the first class in
     (size, smallest element) order, as a frozenset; the second class has the
-    complementary residues.  The same object describes the partition for
-    every n that m divides: partitions are interned, one per (m, r1) for the
-    life of the process, so equality and hashing are identity, in C.
+    complementary residues.  The same value describes the partition for
+    every n that m divides.  The enumerator hands out only the objects that
+    _singletons, _EVENS and _QUARTIC hold, so tuples of its partitions
+    compare by identity, element for element, before any Python __eq__.
 
     Reports encode the classes of Z_n as text, through classes_json: the
     bytes of json.dumps of the two ascending class lists, joined from one
@@ -157,21 +153,10 @@ class OrbitPartition(Value):
     """
 
     __slots__ = _fields = ("m", "r1")
-    _interned: dict[tuple[int, frozenset], OrbitPartition] = {}
     _digits: list[str] = []
 
-    def __new__(cls, m: int, r1) -> OrbitPartition:
-        key = m, frozenset(r1)
-        try:
-            return cls._interned[key]
-        except KeyError:
-            self = cls._interned[key] = object.__new__(cls)
-            Value.__init__(self, *key)
-            return self
-
-    # __new__ set the fields; the C slots skip a Python call per construction
-    __init__ = object.__init__
-    __eq__, __hash__ = object.__eq__, object.__hash__
+    def __init__(self, m: int, r1):
+        super().__init__(m, frozenset(r1))
 
     def __repr__(self) -> str:
         return f"OrbitPartition(m={self.m!r}, r1={set(self.r1)!r})"
@@ -245,7 +230,7 @@ def _radical_full_table(k: int, b: int) -> tuple[OrbitPartition, ...]:
         return _QUARTIC
     # an odd k has a table only if it is prime (the root test presumes it)
     # and b is a primitive root mod k
-    if k % 2 and prime_factors(k) == (k,) and is_primitive_root(b, k):
+    if k % 2 and is_prime(k) and is_primitive_root(b, k):
         return _singletons(k)
     return ()
 
@@ -361,7 +346,14 @@ def _encode_subgroup(ctx: AffineActionContext, found: tuple, layout: list,
     prime's class where it is case 1 (see the module docstring) and one per
     partition otherwise."""
     n = ctx.n
-    listed = [members for members in layout if members[0] in found]
+    # a layout class is listed if found's next partition has its radical
+    # index; tuples of the enumerator's objects compare by identity
+    listed = []
+    i = 0
+    for members in layout:
+        if i < len(found) and found[i].m == members[0].m:
+            listed.append(members)
+            i += len(members)
     if tuple(chain.from_iterable(listed)) != found:
         raise InvariantViolation(
             f"n = {n}, a = {ctx.a}: the partitions are not whole translation "
@@ -419,9 +411,10 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     verdicts (see the module docstring).  So the work is done per subgroup
     (the walk that gives each generator its order, and the encoding), per
     translation class (one verdict and one cached string per odd prime)
-    and, only where it must be, per unit: its own enumeration, which must
-    be the subgroup's tuple or InvariantViolation is raised, its own header
-    and its own violation entries.
+    and, only where it must be, per unit: its own enumeration, its own
+    header and its own violation entries.  Each unit is enumerated once;
+    the first unit of a subgroup registers it, and every unit's tuple must
+    then be its subgroup's, or InvariantViolation is raised.
     """
     if n_max > cap:
         raise CapExceeded(f"n_max = {n_max} exceeds the cap {cap}")
@@ -437,15 +430,9 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
         #                           [(partition, reason)] of its violations)
         shared: dict[int, tuple[int, str, tuple, list]] = {}
         for a in units(n):
-            if a in shared:
-                m_ord, tail, parts, bad = shared[a]
-                found = two_orbit_partitions_with_generators(
-                    AffineActionContext._of_order(n, a, m_ord), cap=cap)
-                if found != parts:
-                    raise InvariantViolation(
-                        f"n = {n}: a = {a} has other two-orbit partitions "
-                        f"than a generator of the same subgroup <a>")
-            else:
+            ctx = AffineActionContext(n, a)
+            found = two_orbit_partitions_with_generators(ctx, cap=cap)
+            if a not in shared:
                 # a is the first unit of <a>; the walk a, a^2, ..., 1 gives
                 # ord(a) and the other generators, the a^j with
                 # gcd(j, ord a) = 1
@@ -453,14 +440,17 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                 while powers[-1] != 1:
                     powers.append(powers[-1] * a % n)
                 m_ord = len(powers)
-                ctx = AffineActionContext._of_order(n, a, m_ord)
-                found = two_orbit_partitions_with_generators(ctx, cap=cap)
                 tail, bad = _encode_subgroup(ctx, found, layout,
                                              include_classes)
                 entry = m_ord, tail, found, bad
                 for j, x in enumerate(powers, 1):
                     if gcd(j, m_ord) == 1:
                         shared[x] = entry
+            m_ord, tail, parts, bad = shared[a]
+            if found != parts:
+                raise InvariantViolation(
+                    f"n = {n}: a = {a} has other two-orbit partitions "
+                    f"than a generator of the same subgroup <a>")
             if bad:
                 violations += [(n, a, part, reason) for part, reason in bad]
             contexts += 1

@@ -503,14 +503,15 @@ def per_shift_two_orbit_partitions(ctx):
     """Reduced partition -> first witness pair, scanning every hitting t of
     every (k, s) in ascending order."""
     found = {}
+    order = loop_mult_order(ctx.a, ctx.n)
     for k in divisors(ctx.n):
-        for s in divisors(ctx.m_ord):
+        for s in divisors(order):
             b = pow(ctx.a, s, k) if k > 1 else 0
             for t in _two_orbit_shifts(k, b):
                 red = _reduce_candidate(k, b, t)
                 if red not in found:
                     found[red] = (AffineMapZn(k % ctx.n, 0),
-                                  AffineMapZn(t, s % ctx.m_ord))
+                                  AffineMapZn(t, s % order))
     return found
 
 
@@ -520,7 +521,7 @@ def per_shift_two_orbit_partitions(ctx):
 
 def per_partition_lemma_report(n_max, include_classes=False):
     """The text verify_lemma streams for n <= n_max, built with nothing
-    shared: per unit, the context's own order, its partitions sorted by
+    shared: per unit, its order by loop_mult_order, its partitions sorted by
     sort_key, classify_partition and json.dumps(case_to_json(case)) per
     partition, and the classes as int lists."""
     docs, violations = [], []
@@ -546,7 +547,8 @@ def per_partition_lemma_report(n_max, include_classes=False):
                 if include_classes:
                     entry["classes"] = list(classes(part, n))
                 entries.append(entry)
-            docs.append(json.dumps({"n": n, "a": a, "m_ord": ctx.m_ord,
+            docs.append(json.dumps({"n": n, "a": a,
+                                    "m_ord": loop_mult_order(a, n),
                                     "partitions": entries, **counts}))
             total += len(found)
     return ('{"n_max": %d, "contexts": [\n' % n_max + ",\n".join(docs)

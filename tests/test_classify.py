@@ -15,7 +15,7 @@ from rank3affine.families import (GeneralizedPaley, Paley, Peisert, Unmatched,
                                   paley_index_set, peisert_connection_set,
                                   peisert_index_set, vls_connection_set,
                                   vls_index_set)
-from rank3affine.fields import build_field
+from rank3affine.fields import build_field, mult_order
 from rank3affine.znaction import Case1, Case2, two_orbit_partitions_with_generators
 
 
@@ -24,12 +24,11 @@ from rank3affine.znaction import Case1, Case2, two_orbit_partitions_with_generat
 # ---------------------------------------------------------------------------
 
 def test_gammal1_contexts():
-    ctx = gammal1_context(build_field(3, 2))
-    assert (ctx.n, ctx.a, ctx.m_ord) == (8, 3, 2)
-    ctx = gammal1_context(build_field(2, 4))
-    assert (ctx.n, ctx.a, ctx.m_ord) == (15, 2, 4)
-    ctx = gammal1_context(build_field(5, 1))
-    assert (ctx.n, ctx.a, ctx.m_ord) == (4, 1, 1)
+    # the order of p mod q - 1 is r
+    for (p, r), expected in [((3, 2), (8, 3, 2)), ((2, 4), (15, 2, 4)),
+                             ((5, 1), (4, 1, 1))]:
+        ctx = gammal1_context(build_field(p, r))
+        assert (ctx.n, ctx.a, mult_order(ctx.a, ctx.n)) == expected
 
 
 def test_gammal1_degenerate():

@@ -288,6 +288,31 @@ def test_huge_input_is_capped_before_any_number_theory(argv):
     assert done.stderr.startswith("error: CapExceeded: ")
 
 
+@pytest.mark.parametrize("ell", ["1000000000000000003", "1000000000000000000"])
+def test_huge_ell_fails_the_degree_condition_at_once(ell):
+    # ell > q cannot meet (ell - 1) | r; a primality test of ell or the
+    # factorisation of ell - 1 would not end
+    done = subprocess.run(
+        [sys.executable, "-m", "rank3affine", "construct", "--family", "vls",
+         "--p", "3", "--r", "4", "--ell", ell],
+        env=SRC_ENV, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (f"error: DegreeCondition: (ell - 1) = {int(ell) - 1} "
+                           f"does not divide r = 4\n")
+
+
+def test_huge_p_with_degree_zero_is_not_tested_for_primality():
+    # the cap bounds p only for r >= 1; for r < 1 a p over the cap gets the
+    # degree error without a primality test of p, which would not end
+    done = subprocess.run(
+        [sys.executable, "-m", "rank3affine", "construct", "--family", "paley",
+         "--p", "1000000000000000000000000000057", "--r", "0"],
+        env=SRC_ENV, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: DegreeOutOfRange: extension degree r = 0 "
+                           "must be >= 1\n")
+
+
 def test_huge_q_max_fails_on_the_first_prime_power_over_the_cap():
     # listing every prime power up to 10^11 would not end; the sweep stops at
     # the same first q over the cap as a --q-max just above it

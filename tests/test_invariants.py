@@ -118,12 +118,14 @@ def test_infeasible_srg_parameters_raise():
         SrgParams(v=5, k=2, lam=1, mu=1)
 
 
-def test_classification_report_stays_mutable_and_unhashable():
+def test_classification_report_is_immutable_and_unhashable():
     field = build_field(3, 2)
     report = classify_field(field)
     assert report == classify_field(field)
-    report.unmatched_count += 1
-    assert report.unmatched_count == 1
+    with pytest.raises(AttributeError):
+        report.unmatched_count += 1
+    assert report.unmatched_count == 0
+    # its entries are a list
     with pytest.raises(TypeError):
         hash(report)
     assert repr(ClassificationReport(build_field(5, 1), [], 0)) == (

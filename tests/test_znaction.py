@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -10,7 +11,7 @@ import oracles
 from rank3affine.errors import (CapExceeded, EmptySet, InvariantViolation,
                                MalformedPartition)
 from rank3affine.classify import as_prime_power, prime_powers_up_to
-from rank3affine.fields import is_prime
+from rank3affine.fields import is_prime, mult_order
 import rank3affine.znaction as znaction
 from rank3affine.znaction import (AffineActionContext, Case1, Case2,
                                   OrbitPartition, Violation, _radical_full_table,
@@ -79,9 +80,12 @@ def test_context_validates_units():
 
 
 def test_context_order():
-    assert AffineActionContext(5, 2).m_ord == 4
-    assert AffineActionContext(8, 3).m_ord == 2
-    assert AffineActionContext(4, 1).m_ord == 1
+    # the context keeps n and a mod n; the order of a comes from mult_order
+    for n, a, order in [(5, 2, 4), (8, 3, 2), (4, 1, 1), (5, 7, 4)]:
+        ctx = AffineActionContext(n, a)
+        assert (ctx.n, ctx.a) == (n, a % n)
+        assert mult_order(ctx.a, ctx.n) == order
+    assert repr(AffineActionContext(8, 3)) == "AffineActionContext(n=8, a=3)"
 
 
 def test_orbit_examples():
@@ -294,16 +298,20 @@ def test_json_splice_matches_json_dumps(head, tail):
             == json.dumps({**head, "classes": value, **tail}))
 
 
-def test_orbit_partitions_are_interned():
-    # one object per (m, residues), whatever iterable the residues come in
+def test_orbit_partitions_compare_by_value():
+    # one value per (m, residues), whatever iterable the residues come in
     part = OrbitPartition(4, frozenset({0, 3}))
-    assert OrbitPartition(4, {0, 3}) is part
-    assert OrbitPartition(4, (3, 0)) is part
-    assert OrbitPartition(m=4, r1=[0, 3]) is part
+    for same in (OrbitPartition(4, {0, 3}), OrbitPartition(4, (3, 0)),
+                 OrbitPartition(m=4, r1=[0, 3])):
+        assert same == part and hash(same) == hash(part)
+        assert same is not part
     assert part.r1 == frozenset({0, 3}) and type(part.r1) is frozenset
-    # equality and hashing are object identity, in C
-    assert type(part).__eq__ is object.__eq__
-    assert type(part).__hash__ is object.__hash__
+    # equality and hashing are the value base's, over (m, r1)
+    assert "__eq__" not in vars(OrbitPartition)
+    assert "__hash__" not in vars(OrbitPartition)
+    assert hash(part) == hash((4, frozenset({0, 3})))
+    with pytest.raises(AttributeError):
+        part.m = 8
     others = [OrbitPartition(4, {0, 1}), OrbitPartition(8, {0, 3}),
               OrbitPartition(2, {0}), OrbitPartition(3, {0})]
     assert len({part, *others}) == 5
@@ -313,11 +321,18 @@ def test_orbit_partitions_are_interned():
 
 
 def test_enumerated_partitions_are_the_constructed_objects():
+    # equal by value to a fresh partition, and the one object the tables
+    # hold, so that two units' tuples compare by identity
+    tables = {(part.m, part.r1): part for part in chain(
+        znaction._EVENS, znaction._QUARTIC,
+        *(znaction._singletons(p) for p in range(3, 60, 2) if is_prime(p)))}
     for n in range(2, 61):
         for a in units(n):
             for part in two_orbit_partitions_with_generators(
                     AffineActionContext(n, a)):
-                assert OrbitPartition(part.m, set(part.r1)) is part, (n, a)
+                fresh = OrbitPartition(part.m, set(part.r1))
+                assert fresh == part and hash(fresh) == hash(part), (n, a)
+                assert tables[part.m, part.r1] is part, (n, a)
 
 
 def test_classify_examples():
@@ -445,13 +460,13 @@ def test_partitions_and_verdicts_depend_only_on_the_subgroup():
     for n in range(2, 61):
         seen = {a: _verdicts(n, a) for a in units(n)}
         for a in units(n):
-            order = AffineActionContext(n, a).m_ord
+            order = mult_order(a, n)
             for j in range(2, order):
                 if gcd(j, order) == 1:
                     assert seen[pow(a, j, n)] == seen[a], (n, a, j)
     # Z_8^* is not cyclic: 3 and 5 both have order 2 but differ, so the
     # sharing must be keyed by the subgroup, not by its order
-    assert AffineActionContext(8, 3).m_ord == AffineActionContext(8, 5).m_ord
+    assert mult_order(3, 8) == mult_order(5, 8)
     assert _verdicts(8, 3).keys() != _verdicts(8, 5).keys()
 
 
@@ -543,7 +558,7 @@ def test_verify_lemma_refuses_partitions_off_the_table_layout(monkeypatch,
         if ctx.n == 7 and found:
             if drop is not None:
                 found = tuple(part for part in found
-                              if part is not OrbitPartition(7, {drop}))
+                              if part != OrbitPartition(7, {drop}))
             if add:
                 found += (OrbitPartition(7, {0, 1}),)
         return found
