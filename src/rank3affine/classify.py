@@ -16,14 +16,13 @@ Together this checks that the Paley, generalized Paley and Peisert sets
 are the only possibilities.
 
 The theorem report holds both classes of every partition, about q integers
-per partition.  verify_theorem streams each field's document as
-ClassificationReport.dumps: the class arrays come as text from
-OrbitPartition.classes_json, spliced into json.dumps of the rest, so the
-bytes are those of json.dumps(report.to_json()) without a Python step or
-an int per class element.  The digit strings they are joined from are
-shared and grow to the largest field written, so peak memory is bounded
-by one field's strings, not by the sum of q over the sweep.  to_json, with
-the classes as lists, serves classify's indented report and the tests.
+per partition.  ClassificationReport.dumps is the field document's only
+encoder: the class arrays come as text from OrbitPartition.classes_json,
+spliced into json.dumps of the rest, with no Python step or int per class
+element.  The digit strings they are joined from are shared and grow to
+the largest field written, so peak memory is bounded by one field's
+strings, not by the sum of q over the sweep.  verify_theorem streams the
+documents; to_json loads one back for classify's indented report.
 """
 
 from __future__ import annotations
@@ -63,20 +62,15 @@ class ClassifiedPartition(Value):
     """An OrbitPartition with its lemma case, family label and shift."""
     __slots__ = _fields = ("partition", "lemma_case", "family", "shift")
 
-    def to_json(self, n: int | None = None) -> dict:
-        """The report entry, led by the classes of Z_n when n is given.
+    def to_json(self) -> dict:
+        """The report entry after its classes.
 
         The first class is the family set itself, never its complement,
         so "complemented" is always false; the key stays in the schema.
         """
-        doc: dict = {}
-        if n is not None:
-            doc["classes"] = json.loads(self.partition.classes_json(n))
-        doc["lemma_case"] = case_to_json(self.lemma_case)
-        doc["family"] = label_to_json(self.family)
-        doc["complemented"] = False
-        doc["shift"] = self.shift
-        return doc
+        return {"lemma_case": case_to_json(self.lemma_case),
+                "family": label_to_json(self.family),
+                "complemented": False, "shift": self.shift}
 
 
 class ClassificationReport(Value):
@@ -91,28 +85,23 @@ class ClassificationReport(Value):
                 seen.add(family_key(e.family))
         return sorted(seen)
 
-    def _frame(self) -> tuple[dict, dict]:
-        # the keys of the report before "partitions", and those after it
-        desc = self.field.descriptor()
-        return ({"q": desc["q"], "p": desc["p"], "r": desc["r"], "field": desc},
-                {"families": self.families_present(),
-                 "unmatched": self.unmatched_count})
-
     def to_json(self) -> dict:
-        head, tail = self._frame()
-        n = self.field.q - 1
-        return {**head, "partitions": [e.to_json(n) for e in self.entries],
-                **tail}
+        return json.loads(self.dumps())
 
     def dumps(self) -> str:
-        """json.dumps(self.to_json()), byte for byte, with each entry's
-        classes spliced in as text from OrbitPartition.classes_json."""
-        head, tail = self._frame()
+        """The field's report as compact JSON text, each entry led by its
+        classes of Z_{q-1}, spliced in as text from
+        OrbitPartition.classes_json."""
+        desc = self.field.descriptor()
         n = self.field.q - 1
         entries = ", ".join(
             json_splice({}, "classes", e.partition.classes_json(n), e.to_json())
             for e in self.entries)
-        return json_splice(head, "partitions", "[" + entries + "]", tail)
+        return json_splice(
+            {"q": desc["q"], "p": desc["p"], "r": desc["r"], "field": desc},
+            "partitions", "[" + entries + "]",
+            {"families": self.families_present(),
+             "unmatched": self.unmatched_count})
 
 
 def family_key(label: FamilyLabel) -> str:
@@ -226,8 +215,6 @@ def verify_theorem(q_values, cap: int = DEFAULT_Q_CAP, sink=None) -> dict:
         "all_matched": unmatched_total == 0,
     }
     if sink:
-        sink.write('\n], "fields_checked": %d, "unmatched_total": %d, '
-                   '"all_matched": %s}\n'
-                   % (len(fields_summary), unmatched_total,
-                      "true" if unmatched_total == 0 else "false"))
+        sink.write("\n], " + json.dumps({k: summary[k] for k in (
+            "fields_checked", "unmatched_total", "all_matched")})[1:] + "\n")
     return summary

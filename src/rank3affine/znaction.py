@@ -112,21 +112,20 @@ def units(n: int) -> list[int]:
     return [a for a in range(1, n) if gcd(a, n) == 1]
 
 
-class AffineActionContext:
-    """Immutable context (n, a): alpha = multiplication by a on Z_n."""
+class AffineActionContext(Value):
+    """Context (n, a): alpha = multiplication by a on Z_n."""
 
-    __slots__ = ("n", "a")
+    __slots__ = _fields = ("n", "a")
 
     def __init__(self, n: int, a: int):
         if n < 2:
             raise ModulusOutOfRange(f"modulus n = {n} must be >= 2")
         if gcd(a, n) != 1:
             raise NotAUnit(f"{a % n} is not a unit mod {n}")
-        self.n = n
-        self.a = a % n
-
-    def __repr__(self) -> str:
-        return f"AffineActionContext(n={self.n}, a={self.a})"
+        # set directly, not by Value.__init__, which takes twice as long:
+        # a lemma sweep builds one context per unit
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a % n)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +402,9 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     it; partition entries carry the exact compact descriptors (m and shift,
     or variant), from which the classes are reconstructible, plus the
     literal class arrays when include_classes is set (they can be very
-    large for prime n).  Class arrays, there and in the violation entries,
-    are spliced in as text from OrbitPartition.classes_json.
+    large for prime n).  Those class arrays are spliced in as text from
+    OrbitPartition.classes_json; the stream's tail is written from the
+    summary.
 
     Every unit's enumeration is a tuple of whole translation classes in
     report order, and every generator of <a> has the same tuple and
@@ -471,10 +471,6 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                        for n, a, part, reason in violations],
     }
     if sink:
-        sink.write('\n], "partitions_checked": %d, "violation_count": %d, '
-                   '"violations": [%s]}\n'
-                   % (total, len(violations), ", ".join(
-                       json_splice({"n": n, "a": a}, "classes",
-                                   part.classes_json(n), {"reason": reason})
-                       for n, a, part, reason in violations)))
+        sink.write("\n], " + json.dumps({k: summary[k] for k in (
+            "partitions_checked", "violation_count", "violations")})[1:] + "\n")
     return summary

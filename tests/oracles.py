@@ -10,7 +10,9 @@ reference for the connection-set graph code, trial division and the
 polynomial-power search as the reference for the field's modulus and omega,
 the polynomial-product table loop as the reference for the packed field
 tables, the power walk as the reference for multiplicative orders, and the
-per-partition report as the reference for the lemma report.  Partitions
+per-partition report as the reference for the lemma report, and
+json.dumps with int-list classes as the reference for the theorem report's
+spliced text.  Partitions
 are rebuilt as orbits of their witness generators, their classes as int
 lists and their report order as a sort key, the Paley parameters come
 from the closed form, and so does the number of two-orbit partitions of
@@ -555,6 +557,19 @@ def per_partition_lemma_report(n_max, include_classes=False):
             + '\n], "partitions_checked": %d, "violation_count": %d, '
             '"violations": %s}\n' % (total, len(violations),
                                       json.dumps(violations)))
+
+
+def theorem_document(report):
+    """The text of ClassificationReport.dumps, built as json.dumps of the
+    report with each entry's classes as the int lists of classes."""
+    desc = report.field.descriptor()
+    n = report.field.q - 1
+    return json.dumps({
+        "q": desc["q"], "p": desc["p"], "r": desc["r"], "field": desc,
+        "partitions": [{"classes": list(classes(e.partition, n)),
+                        **e.to_json()} for e in report.entries],
+        "families": report.families_present(),
+        "unmatched": report.unmatched_count})
 
 
 # ---------------------------------------------------------------------------

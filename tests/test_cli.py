@@ -375,7 +375,8 @@ def test_failing_verdict_still_writes_report(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "verify", "--theorem", "--q", "9",
                      "--output", str(report))
     assert code == 1
-    assert json.loads(report.read_text())["unmatched_total"] == 3
+    doc = json.loads(report.read_text())
+    assert doc["unmatched_total"] == 3 and doc["all_matched"] is False
     assert list(tmp_path.iterdir()) == [report]
 
 

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.errors import (CapExceeded, Directed, InfeasibleParameters,
-                                NotSymmetric, Rank3Error)
+                                NotSymmetric, Rank3Error, TooLarge)
 from rank3affine.families import (ConnectionSet, paley_connection_set,
                                   peisert_connection_set, vls_connection_set)
 from rank3affine.fields import build_field
-from rank3affine.graphs import (NotStronglyRegular, SrgParams, _digit_step,
-                                _reversed, _step,
+from rank3affine.graphs import (CayleyGraph, NotStronglyRegular, SrgParams,
+                                _digit_step, _reversed, _step,
                                 build_cayley, export_edge_list, export_graph6,
                                 srg_params)
 
@@ -262,6 +262,16 @@ def test_graph6_long_form_roundtrip():
     v, edges = oracles.decode_graph6(data)
     assert v == 64
     assert edges == edge_set(g) and len(edges) == 64 * 21 // 2
+
+
+def test_graph6_refuses_more_than_258047_vertices():
+    # GF(2^18) has 262,144 elements.  graph6 refuses the graph on its
+    # vertex count alone, so the graph of S = {1} is assembled directly
+    # rather than by build_cayley, which takes most of a second at this size
+    f = build_field(2, 18)
+    g = CayleyGraph(f, ConnectionSet(f, [0]), indicator=1 << 1, directed=False)
+    with pytest.raises(TooLarge, match="258047"):
+        export_graph6(g)
 
 
 def test_edge_list_matches_adjacency():

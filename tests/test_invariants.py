@@ -70,7 +70,7 @@ def test_every_exported_name_resolves():
 VALUES = [
     Paley(), Unmatched(), GeneralizedPaley(3, 2), Peisert(variant=1),
     Case1(m=2, shift=0), Case2(1), Violation("reason"),
-    oracles.AffineMapZn(1, 0),
+    oracles.AffineMapZn(1, 0), AffineActionContext(6, 5),
     OrbitPartition(2, frozenset({0})), SrgParams(5, 2, 0, 1),
     NotStronglyRegular((0, 1), "reason"),
     ClassifiedPartition(OrbitPartition(2, frozenset({0})), Case1(2, 0),
