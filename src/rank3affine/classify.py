@@ -28,13 +28,15 @@ documents; to_json loads one back for classify's indented report.
 from __future__ import annotations
 
 import json
+from itertools import compress, count
+from math import isqrt
 
 from .errors import (CapExceeded, CharCondition, DegenerateModulus,
                      DegreeCondition, InvariantViolation, NotPrime,
                      NotPrimePower, OrderCondition)
 from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
                        label_to_json, peisert_label, vls_label)
-from .fields import FiniteField, build_field, mult_order
+from .fields import FiniteField, build_field, mult_order, prime_factors
 from .znaction import (AffineActionContext, Case1, Case2, LemmaCase,
                        OrbitPartition, Violation, case_to_json,
                        classify_partition, json_splice,
@@ -157,22 +159,28 @@ def classify_field(field: FiniteField, cap: int = DEFAULT_Q_CAP) -> Classificati
 
 def as_prime_power(q: int) -> tuple[int, int] | None:
     """(p, r) with q = p^r, or None if q is not a prime power >= 2."""
-    if q < 2:
+    if q < 2 or len(prime_factors(q)) != 1:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
-        if q % p == 0:
-            r = 0
-            while q % p == 0:
-                q //= p
-                r += 1
-            return (p, r) if q == 1 else None
-    return None
+    (p,) = prime_factors(q)
+    return p, next(r for r in count(1) if p ** r == q)
 
 
 def prime_powers_up_to(q_max: int) -> list[int]:
-    return [q for q in range(2, q_max + 1) if as_prime_power(q) is not None]
+    """The prime powers 2 <= q <= q_max, ascending: the primes from one
+    sieve of Eratosthenes, then the powers p^k, k >= 2, of the primes up to
+    sqrt(q_max).  No q is factored, so the sieve adds no entry to the
+    cache of prime_factors."""
+    root = isqrt(max(q_max, 0))
+    flags = bytearray(2) + bytearray([1]) * (q_max - 1)
+    for p in range(2, root + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, q_max + 1, p)))
+    for p in compress(range(root + 1), flags[:root + 1]):
+        power = p * p
+        while power <= q_max:
+            flags[power] = 1
+            power *= p
+    return list(compress(range(q_max + 1), flags))
 
 
 def verify_theorem(q_values, cap: int = DEFAULT_Q_CAP, sink=None) -> dict:

@@ -62,8 +62,9 @@ def label_to_json(label: FamilyLabel) -> dict:
 # connection sets
 # ---------------------------------------------------------------------------
 
-class ConnectionSet:
+class ConnectionSet(Value):
     """Subset of F_q^* in dlog coordinates, tagged with its family label."""
+    __slots__ = _fields = ("field", "indices", "label")
 
     def __init__(self, field: FiniteField, indices, label: FamilyLabel = Unmatched()):
         indices = frozenset(indices)
@@ -72,9 +73,7 @@ class ConnectionSet:
         n = field.q - 1
         if not all(0 <= i < n for i in indices):
             raise IndexOutOfRange(f"indices must lie in [0, {n})")
-        self.field = field
-        self.indices = indices
-        self.label = label
+        super().__init__(field, indices, label)
 
     def is_symmetric(self) -> bool:
         """Whether S = -S as field elements."""

@@ -14,8 +14,9 @@ Translations are automorphisms, so the number of common neighbors of a pair
 (x, y) is the difference count c(y - x) = |S & (y - x + S)|, which the SRG
 check reads as the popcount of the indicator AND row y - x: O(q^2 / 64)
 word operations in all.  The exports walk the rows one at a time, so they
-hold O(q) bits beside their output.  Graphs are immutable once built.  The
-module is pure Python.
+hold O(q) bits beside their output.  Graphs, like their fields and
+connection sets, are `values.Value`s: they refuse assignment and compare
+and hash by their fields.  The module is pure Python.
 """
 
 from __future__ import annotations
@@ -44,20 +45,17 @@ _BASE64_GRAPH6 = bytes.maketrans(
     bytes(range(63, 127)))
 
 
-class CayleyGraph:
+class CayleyGraph(Value):
     """Graph on the elements of GF(q); vertex i is the element with code i.
 
     ``indicator`` is an int whose bit c is set iff the element with code c
     lies in the connection set.
     """
+    __slots__ = _fields = ("field", "connection", "indicator", "directed")
 
-    def __init__(self, field: FiniteField, connection: ConnectionSet,
-                 indicator: int, directed: bool):
-        self.field = field
-        self.connection = connection
-        self.q = field.q
-        self.indicator = indicator
-        self.directed = directed
+    @property
+    def q(self) -> int:
+        return self.field.q
 
     def neighbors(self, x: int) -> list[int]:
         row = self.indicator
@@ -74,7 +72,7 @@ def build_cayley(field: FiniteField, connection: ConnectionSet,
                  allow_directed: bool = False) -> CayleyGraph:
     """Build the Cayley graph of F_q^+ with the given connection set, whose
     codes are marked as the field's walk of the powers of omega streams by."""
-    if not field.same_field(connection.field):
+    if field != connection.field:
         raise FieldMismatch("connection set belongs to a different field")
     symmetric = connection.is_symmetric()
     if not symmetric and not allow_directed:

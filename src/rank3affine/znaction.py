@@ -165,7 +165,8 @@ class OrbitPartition(Value):
         ascending, byte for byte: the classes are gathered from _digits,
         str(i) for every i below the largest n written so far, by a stride
         for m = 2 and by the residue mask repeated n / m times (and its
-        complement) otherwise."""
+        complement) otherwise.  m must divide n."""
+        _check_radical(self.m, n)
         digits = self._digits
         if len(digits) < n:
             # a longer copy replaces the list, so no reader sees it change
@@ -185,6 +186,11 @@ class OrbitPartition(Value):
 
 
 _COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _check_radical(m: int, n: int) -> None:
+    if m < 1 or n % m:
+        raise MalformedPartition(f"radical index {m} does not divide n = {n}")
 
 
 def json_splice(head: dict, key: str, raw: str, tail: dict) -> str:
@@ -280,9 +286,7 @@ LemmaCase = Case1 | Case2 | Violation
 def classify_partition(ctx: AffineActionContext, part: OrbitPartition) -> LemmaCase:
     """Match a two-orbit partition against the two admissible shapes."""
     m, r1 = part.m, part.r1
-    if m < 1 or ctx.n % m:
-        raise MalformedPartition(
-            f"radical index {m} does not divide n = {ctx.n}")
+    _check_radical(m, ctx.n)
     if m > 1 and is_prime(m):
         if len(r1) != 1:
             return Violation(

@@ -9,7 +9,8 @@ bit-loop graph6 writer and a backtracking isomorphism test) is kept as the
 reference for the connection-set graph code, trial division and the
 polynomial-power search as the reference for the field's modulus and omega,
 the polynomial-product table loop as the reference for the packed field
-tables, the power walk as the reference for multiplicative orders, and the
+tables, the power walk as the reference for multiplicative orders, trial
+division per q as the reference for the sieve of prime powers, and the
 per-partition report as the reference for the lemma report, and
 json.dumps with int-list classes as the reference for the theorem report's
 spliced text.  Partitions
@@ -385,6 +386,23 @@ def radical(S, n):
         if all((x + d) % n in S for x in S):
             return d
     return n
+
+
+def trial_division_prime_power(q):
+    """(p, r) with q = p^r, or None if q is not a prime power >= 2, by trial
+    division up to the least prime factor of q: the previous as_prime_power."""
+    if q < 2:
+        return None
+    for p in range(2, q + 1):
+        if p * p > q:
+            return (q, 1)
+        if q % p == 0:
+            r = 0
+            while q % p == 0:
+                q //= p
+                r += 1
+            return (p, r) if q == 1 else None
+    return None
 
 
 def loop_mult_order(x, modulus):

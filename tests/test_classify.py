@@ -10,7 +10,8 @@ from rank3affine.classify import (as_prime_power, classify_field, family_key,
                                   verify_theorem)
 from rank3affine import families
 from rank3affine.errors import (CapExceeded, CharCondition, DegenerateModulus,
-                                DegreeCondition, NotPrime, OrderCondition)
+                                DegreeCondition, InvariantViolation, NotPrime,
+                                OrderCondition)
 from rank3affine.families import (GeneralizedPaley, Paley, Peisert, Unmatched,
                                   paley_index_set, peisert_connection_set,
                                   peisert_index_set, vls_connection_set,
@@ -34,6 +35,12 @@ def test_gammal1_contexts():
 def test_gammal1_degenerate():
     with pytest.raises(DegenerateModulus):
         gammal1_context(build_field(2, 1))
+
+
+def test_gammal1_context_checks_the_order_of_p(monkeypatch):
+    monkeypatch.setattr(classify, "mult_order", lambda x, modulus: 3)
+    with pytest.raises(InvariantViolation, match="not r = 2"):
+        gammal1_context(build_field(3, 2))
 
 
 def test_dictionary_equivariance():
@@ -209,6 +216,15 @@ def test_lemma_case_matches_family_kind():
                 assert isinstance(e.lemma_case, Case1)
 
 
+def test_unmet_preconditions_leave_a_case_unmatched():
+    # the branch that would report a counterexample to the theorem: for
+    # GF(9), ord_5(3) = 4 does not divide r = 2; for GF(25), p = 1 mod 4
+    assert classify._match_family(build_field(3, 2), Case1(5, 0)) == (
+        Unmatched(), 0)
+    assert classify._match_family(build_field(5, 2), Case2(1)) == (
+        Unmatched(), 0)
+
+
 def test_partitions_invariant_under_witness_subgroups():
     # each partition the per-shift oracle finds is the orbit partition of
     # its witness pair, and the enumeration lists exactly those, in report
@@ -264,6 +280,25 @@ def test_as_prime_power():
 
 def test_prime_powers_up_to():
     assert prime_powers_up_to(16) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+def test_prime_powers_match_trial_division():
+    expected = [oracles.trial_division_prime_power(q) for q in range(-3, 5000)]
+    assert [as_prime_power(q) for q in range(-3, 5000)] == expected
+    listed = [q for q, pr in zip(range(-3, 5000), expected) if pr is not None]
+    for q_max in [-3, 0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 127, 128, 4999]:
+        assert prime_powers_up_to(q_max) == [q for q in listed if q <= q_max]
+
+
+def test_prime_power_sieve_factors_nothing(monkeypatch):
+    # through the unbounded cache of prime_factors, factoring every q would
+    # hold one entry per q <= q_max
+    def refuse(*args):
+        raise AssertionError("the sieve factored a number")
+
+    monkeypatch.setattr(classify, "as_prime_power", refuse)
+    monkeypatch.setattr(classify, "prime_factors", refuse)
+    assert len(prime_powers_up_to(65536)) == 6635
 
 
 def test_verify_theorem_small():

@@ -32,14 +32,27 @@ def _raises_assertion_error(node):
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
+def _debug_only(node):
+    # an assert statement, or a branch on __debug__, which python -O drops
+    return (isinstance(node, ast.Assert) or _raises_assertion_error(node)
+            or isinstance(node, ast.Name) and node.id == "__debug__")
+
+
 def test_no_assert_statements_in_src():
     files = sorted(SRC.glob("*.py"))
     assert files
     found = [f"{path.name}:{node.lineno}"
              for path in files
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
+             if _debug_only(node)]
     assert found == []
+
+
+def test_the_src_scan_flags_asserts_and_debug_guards():
+    flagged = [node for node in ast.walk(ast.parse(
+        "assert x\nif __debug__:\n    raise AssertionError\ny = __debug__\n"))
+        if _debug_only(node)]
+    assert len(flagged) == 4
 
 
 def test_no_numpy_import_in_src():
@@ -75,6 +88,8 @@ VALUES = [
     NotStronglyRegular((0, 1), "reason"),
     ClassifiedPartition(OrbitPartition(2, frozenset({0})), Case1(2, 0),
                         Paley(), 0),
+    build_field(7, 2), paley_connection_set(build_field(13, 1)),
+    build_cayley(build_field(13, 1), paley_connection_set(build_field(13, 1))),
 ]
 
 
@@ -98,6 +113,23 @@ def test_values_are_hashable_and_frozen(value):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
+
+
+def test_fields_connection_sets_and_graphs_compare_by_value():
+    f, g = build_field(7, 2), build_field(7, 2)
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != build_field(7, 1) and f != build_field(2, 6)
+    assert repr(f) == "FiniteField(p=7, r=2)"
+    conn = paley_connection_set(f)
+    assert conn == paley_connection_set(g) != ConnectionSet(f, {0})
+    assert repr(conn) == "ConnectionSet(GF(49), size=24, label=Paley())"
+    # a set on an equal field is on this field
+    graph = build_cayley(g, conn)
+    assert graph == build_cayley(f, paley_connection_set(g))
+    assert graph.q == 49 and repr(graph) == "CayleyGraph(q=49, degree=24)"
+    # q is read from the field, not a field of the graph
+    with pytest.raises(AttributeError):
+        graph.q = 7
 
 
 def test_value_construction_checks_its_fields():

@@ -239,11 +239,13 @@ def test_matches_pair_closure_oracle_small():
 # ---------------------------------------------------------------------------
 
 def test_orbit_partition_validation():
-    # the radical index must divide n
-    for n, m in [(4, 3), (6, 4), (5, 10), (5, 0)]:
-        with pytest.raises(MalformedPartition):
+    # the radical index must divide n, to classify or to write the classes
+    for n, m in [(4, 3), (6, 4), (5, 10), (5, 0), (10, 3), (10, -2)]:
+        with pytest.raises(MalformedPartition, match="does not divide"):
             classify_partition(AffineActionContext(n, 1),
                                OrbitPartition(m, frozenset({0})))
+        with pytest.raises(MalformedPartition, match="does not divide"):
+            OrbitPartition(m, frozenset({0})).classes_json(n)
 
 
 def test_canonical_ordering():
