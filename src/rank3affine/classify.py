@@ -36,14 +36,13 @@ from .errors import (CapExceeded, CharCondition, DegenerateModulus,
                      NotPrimePower, OrderCondition)
 from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
                        label_to_json, peisert_label, vls_label)
-from .fields import FiniteField, build_field, mult_order, prime_factors
-from .znaction import (AffineActionContext, Case1, Case2, LemmaCase,
-                       OrbitPartition, Violation, case_to_json,
+from .fields import (DEFAULT_FIELD_CAP, FiniteField, build_field, mult_order,
+                     prime_factors)
+from .znaction import (DEFAULT_N_CAP, AffineActionContext, Case1, Case2,
+                       LemmaCase, OrbitPartition, Violation, case_to_json,
                        classify_partition, json_splice,
                        two_orbit_partitions_with_generators)
 from .values import Value
-
-DEFAULT_Q_CAP = 4096
 
 
 def gammal1_context(field: FiniteField) -> AffineActionContext:
@@ -134,7 +133,7 @@ def _match_family(field: FiniteField, case: LemmaCase) -> tuple[FamilyLabel, int
     return Unmatched(), 0
 
 
-def classify_field(field: FiniteField, cap: int = DEFAULT_Q_CAP) -> ClassificationReport:
+def classify_field(field: FiniteField, cap: int = DEFAULT_N_CAP) -> ClassificationReport:
     """Classify every two-orbit partition of F_q^* under GammaL(1, q)."""
     if field.q > cap:
         raise CapExceeded(f"q = {field.q} exceeds the classification cap {cap}")
@@ -183,7 +182,7 @@ def prime_powers_up_to(q_max: int) -> list[int]:
     return list(compress(range(q_max + 1), flags))
 
 
-def verify_theorem(q_values, cap: int = DEFAULT_Q_CAP, sink=None) -> dict:
+def verify_theorem(q_values, cap: int = DEFAULT_N_CAP, sink=None) -> dict:
     """Run classify_field over the given q values and tally unmatched counts.
 
     When sink is given, the full per-field reports (with class arrays) are
@@ -191,9 +190,12 @@ def verify_theorem(q_values, cap: int = DEFAULT_Q_CAP, sink=None) -> dict:
     """
     orders = []
     for q in sorted(set(q_values)):
-        # the cap first: trial division of a huge q would not end
+        # the caps first: trial division of a huge q would not end
         if q > cap:
             raise CapExceeded(f"q = {q} exceeds the classification cap {cap}")
+        if q > DEFAULT_FIELD_CAP:
+            raise CapExceeded(
+                f"q = {q} exceeds the field cap {DEFAULT_FIELD_CAP}")
         pr = as_prime_power(q)
         if pr is None:
             raise NotPrimePower(f"q = {q} is not a prime power")

@@ -14,8 +14,7 @@ import stat
 import sys
 import tempfile
 
-from .classify import (DEFAULT_Q_CAP, classify_field, prime_powers_up_to,
-                       verify_theorem)
+from .classify import classify_field, prime_powers_up_to, verify_theorem
 from .errors import (CapExceeded, ModulusOutOfRange, OutputNotWritable,
                      Rank3Error)
 from .families import (label_to_json, paley_connection_set,
@@ -55,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classify every two-orbit partition of F_q^*")
     cl.add_argument("--p", type=int, required=True)
     cl.add_argument("--r", type=int, required=True)
-    cl.add_argument("--cap", type=int, default=DEFAULT_Q_CAP)
+    cl.add_argument("--cap", type=int, default=DEFAULT_N_CAP)
     cl.add_argument("--format", choices=["json", "text"], default="json")
     cl.add_argument("--output")
     cl.set_defaults(func=cmd_classify)
@@ -266,9 +265,11 @@ def cmd_verify(args) -> int:
         raise ModulusOutOfRange(
             f"--q-max {q_max} checks nothing: the theorem sweep starts "
             f"at q = 2")
-    # a prime lies in (cap, 2 cap] (Bertrand), so the list up to 2 cap holds
-    # the first q over the cap, whose error ends the sweep
-    qs = args.q or prime_powers_up_to(min(q_max, max(2 * args.cap, 2)))
+    # a prime lies in (c, 2c] (Bertrand), so the list up to 2c, for c the
+    # lesser of the two caps, holds the first q over it, whose error ends
+    # the sweep
+    cap = min(args.cap, DEFAULT_FIELD_CAP)
+    qs = args.q or prime_powers_up_to(min(q_max, max(2 * cap, 2)))
     with _out_stream(args.output) as out:
         summary = verify_theorem(qs, cap=args.cap, sink=out)
     _note(f"theorem: {summary['fields_checked']} fields, "

@@ -80,17 +80,18 @@ k, then residues, so the tuple is listed as reported, with no sort.
 
 verify_lemma works at three levels.  Per subgroup <a>: one walk a, a^2,
 ..., 1, which gives ord(a) to every generator, so no unit computes an
-order, and one encoding of the enumerated tuple, which must be whole
-classes of the table layout of n, concatenated.  Per translation class:
-an odd prime's singletons are classified at residue 0, and a case 1 there
-is written as one string cached per p; the k = 2 and k = 4 partitions,
-and any other verdict, are classified one by one.  Per unit: its own
-enumeration, which must be the subgroup's tuple, its own header and its
-own violations.  A unit's enumeration visits only k = 2, 4 and the odd
-primes p | n, each p by one primitive-root test (a pow per prime of
-p - 1, factored once), and joins tables that hold one partition object
-per (k, residue) for the life of the process, so the tuples of two units
-compare by identity.
+order, and one read of its tables, those of a mod k for the k | n, whose
+nonempty ones are encoded as they come.  Per translation class: an odd
+prime's singletons are classified at residue 0, and a case 1 there is
+written as one string cached per p; the k = 2 and k = 4 partitions, and
+any other verdict, are classified one by one.  Per unit: its own
+enumeration, which must be the subgroup's tables joined, its own header
+and its own violations.  A unit's enumeration visits only k = 2, 4 and
+the odd primes p | n, each p by one primitive-root test (a pow per prime
+of p - 1, factored once), and joins tables that hold one partition
+object per (k, residue) for the life of the process, so the tuples of
+two units, and a unit's tuple and its subgroup's tables, compare by
+identity.
 """
 
 from __future__ import annotations
@@ -332,35 +333,14 @@ def _case1_class(p: int) -> str:
     return ", ".join([_CASE1 % (p, c) + "}" for c in range(p)])
 
 
-def _report_layout(n: int) -> list[tuple[OrbitPartition, ...]]:
-    """Every partition any unit's tables can give on Z_n, by translation
-    class, in report order: the odd primes p | n descending, each as its p
-    singletons by residue, then the evens and odds, then the two quartic
-    partitions."""
-    return [_singletons(k) if k % 2 else _EVENS if k == 2 else _QUARTIC
-            for k in _table_moduli(n)]
-
-
-def _encode_subgroup(ctx: AffineActionContext, found: tuple, layout: list,
+def _encode_subgroup(ctx: AffineActionContext, listed: list,
                      include_classes: bool) -> tuple[str, list]:
     """The context document of <a> after its header, and the [(partition,
-    reason)] of its violations.  found must be the layout classes it lists,
-    concatenated; it is written in that order, with one verdict per odd
-    prime's class where it is case 1 (see the module docstring) and one per
-    partition otherwise."""
+    reason)] of its violations.  listed holds the nonempty tables of <a>,
+    whole translation classes in report order; they are written in that
+    order, with one verdict per odd prime's class where it is case 1 (see
+    the module docstring) and one per partition otherwise."""
     n = ctx.n
-    # a layout class is listed if found's next partition has its radical
-    # index; tuples of the enumerator's objects compare by identity
-    listed = []
-    i = 0
-    for members in layout:
-        if i < len(found) and found[i].m == members[0].m:
-            listed.append(members)
-            i += len(members)
-    if tuple(chain.from_iterable(listed)) != found:
-        raise InvariantViolation(
-            f"n = {n}, a = {ctx.a}: the partitions are not whole translation "
-            f"classes in table layout order")
 
     def close(part: OrbitPartition) -> str:
         return (', "classes": ' + part.classes_json(n) + "}" if include_classes
@@ -410,15 +390,15 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     OrbitPartition.classes_json; the stream's tail is written from the
     summary.
 
-    Every unit's enumeration is a tuple of whole translation classes in
-    report order, and every generator of <a> has the same tuple and
+    Every generator of <a> has the same tables, so the same partitions and
     verdicts (see the module docstring).  So the work is done per subgroup
-    (the walk that gives each generator its order, and the encoding), per
-    translation class (one verdict and one cached string per odd prime)
-    and, only where it must be, per unit: its own enumeration, its own
-    header and its own violation entries.  Each unit is enumerated once;
-    the first unit of a subgroup registers it, and every unit's tuple must
-    then be its subgroup's, or InvariantViolation is raised.
+    (the walk that gives each generator its order, one read of its tables
+    and their encoding), per translation class (one verdict and one cached
+    string per odd prime) and, only where it must be, per unit: its own
+    enumeration, its own header and its own violation entries.  Each unit
+    is enumerated once, the first unit of a subgroup included, and its
+    tuple must be the subgroup's tables joined in report order, or
+    InvariantViolation is raised.
     """
     if n_max > cap:
         raise CapExceeded(f"n_max = {n_max} exceeds the cap {cap}")
@@ -428,7 +408,6 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     if sink:
         sink.write('{"n_max": %d, "contexts": [\n' % n_max)
     for n in range(2, n_max + 1):
-        layout = _report_layout(n)
         # each generator of <a> -> (ord a, encoded tail of the context
         #                           document, the partitions of <a>,
         #                           [(partition, reason)] of its violations)
@@ -444,17 +423,18 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
                 while powers[-1] != 1:
                     powers.append(powers[-1] * a % n)
                 m_ord = len(powers)
-                tail, bad = _encode_subgroup(ctx, found, layout,
-                                             include_classes)
-                entry = m_ord, tail, found, bad
+                listed = [t for k in _table_moduli(n)
+                          if (t := _radical_full_table(k, a % k))]
+                tail, bad = _encode_subgroup(ctx, listed, include_classes)
+                entry = m_ord, tail, tuple(chain.from_iterable(listed)), bad
                 for j, x in enumerate(powers, 1):
                     if gcd(j, m_ord) == 1:
                         shared[x] = entry
             m_ord, tail, parts, bad = shared[a]
             if found != parts:
                 raise InvariantViolation(
-                    f"n = {n}: a = {a} has other two-orbit partitions "
-                    f"than a generator of the same subgroup <a>")
+                    f"n = {n}, a = {a}: the two-orbit partitions are not "
+                    f"the tables of its subgroup <a>")
             if bad:
                 violations += [(n, a, part, reason) for part, reason in bad]
             contexts += 1

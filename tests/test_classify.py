@@ -319,6 +319,18 @@ def test_verify_theorem_rejects_non_prime_power():
         verify_theorem([12])
 
 
+def test_verify_theorem_checks_the_field_cap_before_any_field(monkeypatch):
+    # 1048583, the first prime power over the field cap, is under the given
+    # cap; it fails the sweep before GF(5) is built
+    def refuse(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(classify, "build_field", refuse)
+    with pytest.raises(CapExceeded, match="q = 1048583 exceeds the field cap "
+                                          "1048576"):
+        verify_theorem([5, 1048583], cap=2 ** 21)
+
+
 def test_verify_theorem_past_the_default_cap():
     # every prime power in (4096, 16384], with no class arrays written
     qs = [q for q in prime_powers_up_to(16384) if q > 4096]

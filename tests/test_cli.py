@@ -277,7 +277,9 @@ def test_classify_cap_checked_before_building(capsys, monkeypatch):
     ["construct", "--family", "paley",
      "--p", "1000000000000000000000000000057", "--r", "1"],
     ["verify", "--theorem", "--q", "1000000000000000000000000007"],
-], ids=["huge-r", "huge-p", "huge-q"])
+    ["verify", "--theorem", "--cap", "1000000000000000000000000000000",
+     "--q", "1000000000000000000000000007"],
+], ids=["huge-r", "huge-p", "huge-q", "huge-q-under-huge-cap"])
 def test_huge_input_is_capped_before_any_number_theory(argv):
     # p^r, a primality test of p or a factorisation of q would not end
     done = subprocess.run([sys.executable, "-m", "rank3affine", *argv],

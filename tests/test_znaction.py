@@ -218,6 +218,22 @@ def test_matches_per_shift_oracle_lemma_contexts():
                 oracles.per_shift_two_orbit_partitions(ctx), n), (n, a)
 
 
+def test_matches_per_shift_oracle_sampled_lemma_contexts():
+    # the union step past n = 120: a context's partitions are its nonempty
+    # tables, whole classes read as verify_lemma reads them, joined
+    rng = random.Random(20)
+    for _ in range(100):
+        n = rng.randint(121, 400)
+        a = rng.choice(units(n))
+        ctx = AffineActionContext(n, a)
+        expected = in_report_order(
+            oracles.per_shift_two_orbit_partitions(ctx), n)
+        listed = [t for k in znaction._table_moduli(n)
+                  if (t := _radical_full_table(k, a % k))]
+        assert tuple(chain.from_iterable(listed)) == expected, (n, a)
+        assert two_orbit_partitions_with_generators(ctx) == expected, (n, a)
+
+
 def test_matches_per_shift_oracle_field_contexts():
     for q in prime_powers_up_to(512)[1:] + [4096]:
         p, _ = as_prime_power(q)
