@@ -39,7 +39,7 @@ from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
 from .fields import (DEFAULT_FIELD_CAP, FiniteField, build_field, mult_order,
                      prime_factors)
 from .znaction import (DEFAULT_N_CAP, AffineActionContext, Case1, Case2,
-                       LemmaCase, OrbitPartition, Violation, case_to_json,
+                       LemmaCase, OrbitPartition, case_to_json,
                        classify_partition, json_splice,
                        two_orbit_partitions_with_generators)
 from .values import Value
@@ -146,7 +146,7 @@ def classify_field(field: FiniteField, cap: int = DEFAULT_N_CAP) -> Classificati
     for part in two_orbit_partitions_with_generators(ctx, cap=cap):
         case = classify_partition(ctx, part)
         family, shift = _match_family(field, case)
-        if isinstance(family, Unmatched) or isinstance(case, Violation):
+        if isinstance(family, Unmatched):
             unmatched += 1
         entries.append(ClassifiedPartition(part, case, family, shift))
     return ClassificationReport(field, entries, unmatched)
@@ -188,14 +188,15 @@ def verify_theorem(q_values, cap: int = DEFAULT_N_CAP, sink=None) -> dict:
     When sink is given, the full per-field reports (with class arrays) are
     streamed to it as one JSON document.
     """
+    qs = sorted(set(q_values))
+    # the least q over a cap fails first: factoring a huge q would not end
+    q = next((q for q in qs if q > min(cap, DEFAULT_FIELD_CAP)), None)
+    if q is not None:
+        raise CapExceeded(
+            f"q = {q} exceeds the classification cap {cap}" if q > cap
+            else f"q = {q} exceeds the field cap {DEFAULT_FIELD_CAP}")
     orders = []
-    for q in sorted(set(q_values)):
-        # the caps first: trial division of a huge q would not end
-        if q > cap:
-            raise CapExceeded(f"q = {q} exceeds the classification cap {cap}")
-        if q > DEFAULT_FIELD_CAP:
-            raise CapExceeded(
-                f"q = {q} exceeds the field cap {DEFAULT_FIELD_CAP}")
+    for q in qs:
         pr = as_prime_power(q)
         if pr is None:
             raise NotPrimePower(f"q = {q} is not a prime power")

@@ -201,15 +201,15 @@ class FiniteField(Value):
         """The first candidate x whose (q - 1)/l-th power is not 1 for any
         prime l | q - 1.  For l | p - 1 that power is N^((p - 1)/l), where
         N = x^((q - 1)/(p - 1)) is the norm of x, a nonzero element of
-        GF(p): one polynomial power per candidate and an integer pow per
-        such l.  Only the l that do not divide p - 1 take a polynomial
-        power each.  For p = 2 the norm is 1, and x^0 gives it.  The v-th
-        candidate, v = 1, ..., q - 1, takes v's base-p digits, most
-        significant first, as its coefficients, low degree first."""
+        GF(p), so these l together ask whether N is a primitive root mod p:
+        one polynomial power per candidate and is_primitive_root(N, p).
+        Only the l that do not divide p - 1 take a polynomial power each.
+        For p = 2 the norm is 1, and x^0 gives it.  The v-th candidate,
+        v = 1, ..., q - 1, takes v's base-p digits, most significant first,
+        as its coefficients, low degree first."""
         p, n = self.p, self.q - 1
         one = (1,) + (0,) * (self.r - 1)
         norm_exp = n // (p - 1) if p > 2 else 0
-        norm_checks = [(p - 1) // l for l in prime_factors(p - 1)]
         checks = [n // l for l in prime_factors(n) if (p - 1) % l]
         for v in range(1, self.q):
             cand = self.coeffs(v)[::-1]
@@ -218,7 +218,7 @@ class FiniteField(Value):
                 raise InvariantViolation(
                     f"the norm of {cand} in GF({self.q}) is {norm}, not a "
                     f"nonzero element of GF({p})")
-            if (all(pow(norm[0], e, p) != 1 for e in norm_checks)
+            if (is_primitive_root(norm[0], p)
                     and all(_poly_pow(cand, e, self.modulus, p) != one
                             for e in checks)):
                 return sum(c * w for c, w in zip(cand, self._pow_p))

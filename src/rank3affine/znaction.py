@@ -81,17 +81,17 @@ k, then residues, so the tuple is listed as reported, with no sort.
 verify_lemma works at three levels.  Per subgroup <a>: one walk a, a^2,
 ..., 1, which gives ord(a) to every generator, so no unit computes an
 order, and one read of its tables, those of a mod k for the k | n, whose
-nonempty ones are encoded as they come.  Per translation class: an odd
-prime's singletons are classified at residue 0, and a case 1 there is
-written as one string cached per p; the k = 2 and k = 4 partitions, and
-any other verdict, are classified one by one.  Per unit: its own
-enumeration, which must be the subgroup's tables joined, its own header
-and its own violations.  A unit's enumeration visits only k = 2, 4 and
-the odd primes p | n, each p by one primitive-root test (a pow per prime
-of p - 1, factored once), and joins tables that hold one partition
-object per (k, residue) for the life of the process, so the tuples of
-two units, and a unit's tuple and its subgroup's tables, compare by
-identity.
+nonempty ones are encoded as they come.  Per translation class, in the
+default report only: an odd prime's singletons are classified at residue 0,
+and a case 1 there is written as one string cached per p; every other
+partition, and each literal-class entry, is classified on its own.  Per
+unit: its own enumeration, which must be the subgroup's tables joined, its
+own header and its own violations.  A unit's enumeration visits only
+k = 2, 4 and the odd primes p | n, each p by one primitive-root test (a
+pow per prime of p - 1, factored once), and joins tables that hold one
+partition object per (k, residue) for the life of the process, so the
+tuples of two units, and a unit's tuple and its subgroup's tables,
+compare by identity.
 """
 
 from __future__ import annotations
@@ -338,26 +338,17 @@ def _encode_subgroup(ctx: AffineActionContext, listed: list,
     """The context document of <a> after its header, and the [(partition,
     reason)] of its violations.  listed holds the nonempty tables of <a>,
     whole translation classes in report order; they are written in that
-    order, with one verdict per odd prime's class where it is case 1 (see
-    the module docstring) and one per partition otherwise."""
-    n = ctx.n
-
-    def close(part: OrbitPartition) -> str:
-        return (', "classes": ' + part.classes_json(n) + "}" if include_classes
-                else "}")
-
+    order.  The default report writes an odd prime's class from one verdict,
+    at residue 0, where it is case 1 (see the module docstring); with
+    include_classes every partition is classified for its own entry."""
     entries = []
     counts = [0, 0, 0]  # case1, case2, violations
     bad = []
     for members in listed:
-        if len(members) > 2 and isinstance(
+        if not include_classes and len(members) > 2 and isinstance(
                 classify_partition(ctx, members[0]), Case1):
             counts[0] += len(members)
-            if include_classes:
-                entries += [_CASE1 % (part.m, c) + close(part)
-                            for c, part in enumerate(members)]
-            else:
-                entries.append(_case1_class(members[0].m))
+            entries.append(_case1_class(members[0].m))
             continue
         for part in members:
             case = classify_partition(ctx, part)
@@ -371,7 +362,9 @@ def _encode_subgroup(ctx: AffineActionContext, listed: list,
                 counts[2] += 1
                 bad.append((part, case.reason))
                 entry = json.dumps(case_to_json(case))[:-1]
-            entries.append(entry + close(part))
+            if include_classes:
+                entry += ', "classes": ' + part.classes_json(ctx.n)
+            entries.append(entry + "}")
     return ('"partitions": [%s], "case1": %d, "case2": %d, "violations": %d}'
             % (", ".join(entries), *counts)), bad
 
@@ -393,12 +386,13 @@ def verify_lemma(n_max: int, cap: int = DEFAULT_N_CAP, sink=None,
     Every generator of <a> has the same tables, so the same partitions and
     verdicts (see the module docstring).  So the work is done per subgroup
     (the walk that gives each generator its order, one read of its tables
-    and their encoding), per translation class (one verdict and one cached
-    string per odd prime) and, only where it must be, per unit: its own
-    enumeration, its own header and its own violation entries.  Each unit
-    is enumerated once, the first unit of a subgroup included, and its
-    tuple must be the subgroup's tables joined in report order, or
-    InvariantViolation is raised.
+    and their encoding), per translation class in the default report only
+    (one verdict and one cached string per odd prime; with include_classes
+    each literal entry is classified on its own) and, only where it must
+    be, per unit: its own enumeration, its own header and its own violation
+    entries.  Each unit is enumerated once, the first unit of a subgroup
+    included, and its tuple must be the subgroup's tables joined in report
+    order, or InvariantViolation is raised.
     """
     if n_max > cap:
         raise CapExceeded(f"n_max = {n_max} exceeds the cap {cap}")

@@ -20,7 +20,10 @@ from the closed form, and so does the number of two-orbit partitions of
 each field.
 Field sums in tests are taken on base-p digits and field products on
 coefficient vectors, and the powers of omega come from that loop, never
-from the field walk they check.
+from the field walk they check.  The two-orbit partitions of F_q^* are
+also found on the field itself, by pair closure over the maps
+x -> lam * x^(p^s) of GammaL(1, q) on field codes, with no discrete log
+and no lemma table.
 """
 
 import json
@@ -28,8 +31,9 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
+from rank3affine.classify import classify_field
 from rank3affine.errors import EmptySet, NotAUnit, Rank3Error
-from rank3affine.fields import _poly_mul_mod
+from rank3affine.fields import _poly_mul_mod, build_field
 from rank3affine.graphs import NotStronglyRegular, SrgParams
 from rank3affine.values import Value
 from rank3affine.znaction import (AffineActionContext, Case1, Case2,
@@ -519,6 +523,18 @@ def per_shift_table(k, b):
     return tuple(least), tuple(least.values())
 
 
+def in_report_order(parts, n):
+    """The partitions sorted by sort_key on Z_n: the report order."""
+    return tuple(sorted(parts, key=lambda part: sort_key(part, n)))
+
+
+def radical_full_oracle(k, b):
+    """The per-shift cycle-count table, kept to the partitions with radical
+    k, in report order on Z_k: the reference for _radical_full_table."""
+    parts, _ = per_shift_table(k, b)
+    return in_report_order((part for part in parts if part.m == k), k)
+
+
 def per_shift_two_orbit_partitions(ctx):
     """Reduced partition -> first witness pair, scanning every hitting t of
     every (k, s) in ascending order."""
@@ -632,6 +648,49 @@ def field_pow(field, x, e):
         base = field_mul(field, base, base)
         e >>= 1
     return result
+
+
+def field_side_two_orbit_partitions(q):
+    """The two-orbit partitions of F_q^* under GammaL(1, q), each a
+    frozenset of two frozensets of field codes, found on the field itself:
+    every map x -> lam * x^(p^s) is a permutation of the codes 1, ..., q - 1
+    built with field_mul and field_pow on coefficient vectors, with no
+    powers() walk and no discrete log.  As in
+    pair_closure_two_orbit_partitions, the orbits of the subgroup a pair of
+    maps generates are the join of their cycle partitions, and every
+    subgroup of the metacyclic GammaL(1, q) is generated by two elements."""
+    field = build_field(*trial_division_prime_power(q))
+    codes = range(1, q)
+    # mul[x][y] = x * y; point i of the permutations is the code i + 1
+    mul = [None] + [[0] + [field_mul(field, x, y) for y in codes]
+                    for x in codes]
+    distinct = {}
+    for s in range(field.r):
+        frob = [field_pow(field, x, field.p ** s) for x in codes]
+        for lam in codes:
+            row = mul[lam]
+            distinct[_cycle_labels([row[y] - 1 for y in frob])] = True
+    label_sets = list(distinct)
+    out = set()
+    for i, lab1 in enumerate(label_sets):
+        for lab2 in label_sets[i:]:
+            classes = _join_partition(q - 1, lab1, lab2)
+            if len(classes) == 2:
+                out.add(frozenset(frozenset(u + 1 for u in c)
+                                  for c in classes))
+    return out
+
+
+def classified_field_codes(q):
+    """classify_field's partitions of GF(q)^*, each class mapped from its
+    dlog indices i to the field codes of omega^i, by field_pow, in the form
+    field_side_two_orbit_partitions returns."""
+    field = build_field(*trial_division_prime_power(q))
+    n = q - 1
+    codes = [field_pow(field, field.omega, i) for i in range(n)]
+    return {frozenset(frozenset(codes[i] for i in c)
+                      for c in classes(e.partition, n))
+            for e in classify_field(field).entries}
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,15 @@ def test_matched_class_equals_family_set_up_to_shift_and_complement():
                 (sorted(target), sorted(set(range(n)) - target)), (q, e)
 
 
+def test_two_orbit_partitions_found_on_the_field():
+    # the theorem checked on F_q^* itself: pair closure over the maps
+    # x -> lam * x^(p^s) on field codes finds exactly classify_field's
+    # partitions, read through omega^i only at the end
+    for q in prime_powers_up_to(128):
+        assert oracles.field_side_two_orbit_partitions(q) == \
+            oracles.classified_field_codes(q), q
+
+
 def test_labels_match_the_constructors():
     # classify reads each label from the preconditions alone; the
     # constructors build the set and must give the same label, and raise
@@ -329,6 +338,21 @@ def test_verify_theorem_checks_the_field_cap_before_any_field(monkeypatch):
     with pytest.raises(CapExceeded, match="q = 1048583 exceeds the field cap "
                                           "1048576"):
         verify_theorem([5, 1048583], cap=2 ** 21)
+
+
+def test_verify_theorem_checks_the_caps_before_it_factors_any_q(monkeypatch):
+    # the least q over either cap fails the sweep before 4 or 5 is factored
+    def refuse(q):
+        raise AssertionError(f"q = {q} was factored")
+
+    monkeypatch.setattr(classify, "as_prime_power", refuse)
+    with pytest.raises(CapExceeded, match="q = 1048583 exceeds the field cap "
+                                          "1048576"):
+        verify_theorem([4, 5, 1048583], cap=10 ** 30)
+    # a q over the cap fails the list before a smaller non-prime-power does
+    with pytest.raises(CapExceeded, match="q = 5000 exceeds the "
+                                          "classification cap 4096"):
+        verify_theorem([6, 5000])
 
 
 def test_verify_theorem_past_the_default_cap():

@@ -148,10 +148,6 @@ def test_enumeration_cap():
                                              cap=4096)
 
 
-def in_report_order(parts, n):
-    return tuple(sorted(parts, key=lambda part: oracles.sort_key(part, n)))
-
-
 def test_witness_generators_reproduce_partitions():
     # each partition of the per-shift scan is the orbit partition of its
     # witness pair, and the enumeration lists exactly those, in report
@@ -164,14 +160,7 @@ def test_witness_generators_reproduce_partitions():
                 assert oracles.orbits(ctx, list(gens)) == \
                     class_sets(part, n), (n, a, part)
             assert two_orbit_partitions_with_generators(ctx) == \
-                in_report_order(found, n), (n, a)
-
-
-def radical_full_oracle(k, b):
-    # the per-shift cycle-count table, kept to the partitions with radical
-    # k, in report order on Z_k
-    parts, _ = oracles.per_shift_table(k, b)
-    return in_report_order((part for part in parts if part.m == k), k)
+                oracles.in_report_order(found, n), (n, a)
 
 
 def test_translation_table_closed_form_for_b_one():
@@ -189,11 +178,26 @@ def test_tables_match_per_shift_scan():
     for k in range(2, 91):
         for b in units(k):
             parts = _radical_full_table(k, b)
-            assert parts == radical_full_oracle(k, b), (k, b)
+            assert parts == oracles.radical_full_oracle(k, b), (k, b)
             nonempty += bool(parts)
     # k = 2, (k, b) = (4, 3), and the phi(p - 1) primitive roots of each odd
     # prime p < 91
     assert nonempty == 361
+
+
+def test_certificate_script_exits_0_and_1(monkeypatch, capsys):
+    # tests/certify.py runs these checks past tier-1's ranges; it exits 0
+    # when they hold and 1, naming each failure, when a table or a field
+    # disagrees with its oracle
+    import certify
+    assert certify.main(["--k-max", "12", "--q-max", "9"]) == 0
+    monkeypatch.setattr(certify, "_radical_full_table", lambda k, b: ())
+    monkeypatch.setattr(oracles, "classified_field_codes", lambda q: set())
+    assert certify.main(["--k-max", "3", "--q-max", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "k = 3, b = 2: the table is not the per-shift scan" in out
+    assert "q = 3: classify_field's partitions are not" in out
+    assert out.endswith("3 failures\n")
 
 
 def test_parity_swapping_tables_match_per_shift_scan():
@@ -204,7 +208,7 @@ def test_parity_swapping_tables_match_per_shift_scan():
         for b in range(3, k, 4):
             if gcd(b, k) == 1:
                 assert _radical_full_table(k, b) == \
-                    radical_full_oracle(k, b), (k, b)
+                    oracles.radical_full_oracle(k, b), (k, b)
                 checked += 1
     assert checked == 4081
 
@@ -214,8 +218,9 @@ def test_matches_per_shift_oracle_lemma_contexts():
     for n in range(2, 121):
         for a in units(n):
             ctx = AffineActionContext(n, a)
-            assert two_orbit_partitions_with_generators(ctx) == in_report_order(
-                oracles.per_shift_two_orbit_partitions(ctx), n), (n, a)
+            assert two_orbit_partitions_with_generators(ctx) == \
+                oracles.in_report_order(
+                    oracles.per_shift_two_orbit_partitions(ctx), n), (n, a)
 
 
 def test_matches_per_shift_oracle_sampled_lemma_contexts():
@@ -226,7 +231,7 @@ def test_matches_per_shift_oracle_sampled_lemma_contexts():
         n = rng.randint(121, 400)
         a = rng.choice(units(n))
         ctx = AffineActionContext(n, a)
-        expected = in_report_order(
+        expected = oracles.in_report_order(
             oracles.per_shift_two_orbit_partitions(ctx), n)
         listed = [t for k in znaction._table_moduli(n)
                   if (t := _radical_full_table(k, a % k))]
@@ -238,8 +243,9 @@ def test_matches_per_shift_oracle_field_contexts():
     for q in prime_powers_up_to(512)[1:] + [4096]:
         p, _ = as_prime_power(q)
         ctx = AffineActionContext(q - 1, p % (q - 1))
-        assert two_orbit_partitions_with_generators(ctx) == in_report_order(
-            oracles.per_shift_two_orbit_partitions(ctx), q - 1), q
+        assert two_orbit_partitions_with_generators(ctx) == \
+            oracles.in_report_order(
+                oracles.per_shift_two_orbit_partitions(ctx), q - 1), q
 
 
 def test_matches_pair_closure_oracle_small():
@@ -544,6 +550,32 @@ def test_odd_prime_class_not_case_1_is_classified_per_partition(monkeypatch):
     assert buf.getvalue() == oracles.per_partition_lemma_report(30)
     assert summary["violation_count"] > 0
     assert {v["reason"] for v in summary["violations"]} == {"injected"}
+
+
+def test_each_literal_class_entry_carries_its_own_verdict(monkeypatch):
+    # with the literal classes no entry is written from residue 0's
+    # verdict: a violation at residue 3 of Z_7 reaches the report for both
+    # primitive roots mod 7, and its entry keeps its classes.  The default
+    # report still writes a case-1 class from residue 0, by design
+    real = classify_partition
+
+    def inject(ctx, part):
+        if ctx.n == 7 and part == OrbitPartition(7, {3}):
+            return Violation("injected")
+        return real(ctx, part)
+
+    monkeypatch.setattr(znaction, "classify_partition", inject)
+    buf = io.StringIO()
+    summary = verify_lemma(7, sink=buf, include_classes=True)
+    assert summary["violation_count"] == 2
+    assert [(v["n"], v["a"]) for v in summary["violations"]] == [(7, 3), (7, 5)]
+    doc = json.loads(buf.getvalue())
+    for c in doc["contexts"]:
+        if (c["n"], c["a"]) in ((7, 3), (7, 5)):
+            assert c["violations"] == 1 and c["case1"] == 6
+            assert c["partitions"][3] == {
+                "case": "violation", "reason": "injected",
+                "classes": [[3], [0, 1, 2, 4, 5, 6]]}
 
 
 def test_verify_lemma_checks_each_unit_against_its_subgroup(monkeypatch):
