@@ -1,6 +1,6 @@
 """Certify the lemma tables and the theorem against independent oracles.
 
-    PYTHONPATH=src python tests/certify.py --k-max 400 --q-max 256
+    PYTHONPATH=src python tests/certify.py --k-max 400 --q-max 512
 
 For every k <= K and every unit b mod k, the closed-form table
 znaction._radical_full_table(k, b) must equal oracles.radical_full_oracle

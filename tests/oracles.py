@@ -19,7 +19,7 @@ lists and their report order as a sort key, the Paley parameters come
 from the closed form, and so does the number of two-orbit partitions of
 each field.
 Field sums in tests are taken on base-p digits and field products on
-coefficient vectors, and the powers of omega come from that loop, never
+coefficient vectors by this module's own schoolbook product, and the powers of omega come from that loop, never
 from the field walk they check.  The two-orbit partitions of F_q^* are
 also found on the field itself, by pair closure over the maps
 x -> lam * x^(p^s) of GammaL(1, q) on field codes, with no discrete log
@@ -33,7 +33,7 @@ from math import gcd
 
 from rank3affine.classify import classify_field
 from rank3affine.errors import EmptySet, NotAUnit, Rank3Error
-from rank3affine.fields import _poly_mul_mod, build_field
+from rank3affine.fields import build_field
 from rank3affine.graphs import NotStronglyRegular, SrgParams
 from rank3affine.values import Value
 from rank3affine.znaction import (AffineActionContext, Case1, Case2,
@@ -634,9 +634,9 @@ def _encode(p, coeffs):
 
 def field_mul(field, x, y):
     """x * y: the product of the coefficient vectors modulo the field's
-    modulus."""
-    return _encode(field.p, _poly_mul_mod(field.coeffs(x), field.coeffs(y),
-                                          field.modulus, field.p))
+    modulus, by poly_mul_mod, independent of the products in fields.py."""
+    return _encode(field.p, poly_mul_mod(field.coeffs(x), field.coeffs(y),
+                                         field.modulus, field.p))
 
 
 def field_pow(field, x, e):
@@ -727,24 +727,25 @@ def trial_division_modulus(p, r):
     raise AssertionError(f"no irreducible polynomial of degree {r} over GF({p})")
 
 
-def _poly_pow_mod(base, e, modulus, p):
+def poly_mul_mod(a, b, modulus, p):
+    """a * b mod modulus over GF(p), schoolbook, as a tuple; it has deg
+    modulus entries when a and b have that many."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return tuple(_poly_mod([c % p for c in prod], modulus, p))
+
+
+def poly_pow_mod(base, e, modulus, p):
     """base^e mod modulus by square-and-multiply, padded to deg modulus."""
-    r = len(modulus) - 1
-
-    def mul(a, b):
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        return _poly_mod([c % p for c in prod], modulus, p)
-
-    result = [1]
+    result = (1,)
     while e:
         if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
+            result = poly_mul_mod(result, base, modulus, p)
+        base = poly_mul_mod(base, base, modulus, p)
         e >>= 1
-    return tuple(result) + (0,) * (r - len(result))
+    return result + (0,) * (len(modulus) - 1 - len(result))
 
 
 def power_search_omega(p, r, modulus):
@@ -755,7 +756,7 @@ def power_search_omega(p, r, modulus):
                  if n % l == 0 and all(l % d for d in range(2, l))]
     one = (1,) + (0,) * (r - 1)
     for cand in product(range(p), repeat=r):
-        if any(cand) and all(_poly_pow_mod(cand, e, modulus, p) != one
+        if any(cand) and all(poly_pow_mod(cand, e, modulus, p) != one
                              for e in exponents):
             return cand
     raise AssertionError(f"no primitive element of GF({p}^{r})")
@@ -783,7 +784,7 @@ def loop_field_tables(p, r):
     exp, x = [], one
     for _ in range(q - 1):
         exp.append(_encode(p, x))
-        x = _poly_mul_mod(x, omega, modulus, p)
+        x = poly_mul_mod(x, omega, modulus, p)
         if x == one:
             break
     descriptor = {"p": p, "r": r, "q": q, "modulus": list(modulus),

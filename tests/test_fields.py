@@ -128,7 +128,7 @@ LARGE_FIELDS = ([1048573] + sampled_primes(65537, 2 ** 20, 8, _RNG)
 
 
 @pytest.mark.parametrize("q", prime_powers_up_to(4096)
-                         + [2 ** r for r in range(13, 17)]
+                         + [2 ** r for r in range(13, 19)]
                          + [p * p for p in range(67, 256) if is_prime(p)]
                          + LARGE_FIELDS)
 def test_modulus_and_omega_match_the_search_oracles(q):
@@ -136,6 +136,24 @@ def test_modulus_and_omega_match_the_search_oracles(q):
     modulus = oracles.trial_division_modulus(f.p, f.r)
     assert f.modulus == modulus
     assert f.coeffs(f.omega) == oracles.power_search_omega(f.p, f.r, modulus)
+
+
+def test_gf2_powers_match_the_oracle_product():
+    # the GF(2) path works on bit-polynomials (bit i is the coefficient of
+    # X^i): its squares and its products by the base, for every degree up
+    # to the field cap, against square-and-multiply on coefficient vectors
+    rng = random.Random(23)
+    for r in range(1, 21):
+        f = build_field(2, r)
+        m = sum(c << i for i, c in enumerate(f.modulus))
+        for _ in range(8):
+            a, e = rng.randrange(1, 2 ** r), rng.randrange(2 ** r + 2)
+            power = oracles.poly_pow_mod(f.coeffs(a), e, f.modulus, 2)
+            assert f.coeffs(fields._bit_pow(a, e, m)) == power, (r, a, e)
+    # a zero base, and exponents 0 and 1
+    assert fields._bit_pow(0, 5, 0b10011) == 0
+    assert fields._bit_pow(0b1011, 0, 0b10011) == 1
+    assert fields._bit_pow(0b1011, 1, 0b10011) == 0b1011
 
 
 @pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (7, 2)])
