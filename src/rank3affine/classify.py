@@ -31,14 +31,15 @@ import json
 from itertools import compress, count
 from math import isqrt
 
-from .errors import (CapExceeded, CharCondition, DegenerateModulus,
-                     DegreeCondition, InvariantViolation, NotPrime,
-                     NotPrimePower, OrderCondition)
+from .arith import mult_order, prime_factors
+from .errors import (DEFAULT_FIELD_CAP, DEFAULT_N_CAP, CapExceeded,
+                     CharCondition, DegenerateModulus, DegreeCondition,
+                     InvariantViolation, NotPrime, NotPrimePower,
+                     OrderCondition)
 from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
                        label_to_json, peisert_label, vls_label)
-from .fields import (DEFAULT_FIELD_CAP, FiniteField, build_field, mult_order,
-                     prime_factors)
-from .znaction import (DEFAULT_N_CAP, AffineActionContext, Case1, Case2,
+from .fields import FiniteField, build_field
+from .znaction import (AffineActionContext, Case1, Case2,
                        LemmaCase, OrbitPartition, case_to_json,
                        classify_partition, json_splice,
                        two_orbit_partitions_with_generators)

@@ -14,15 +14,12 @@ import stat
 import sys
 import tempfile
 
-from .classify import classify_field, prime_powers_up_to, verify_theorem
-from .errors import (CapExceeded, ModulusOutOfRange, OutputNotWritable,
+# lazy modules (see __init__): each runs on its first attribute access, so
+# a command loads only the modules it calls
+from . import classify, families, fields, graphs, znaction
+from .errors import (DEFAULT_FIELD_CAP, DEFAULT_N_CAP, DEFAULT_SRG_CAP,
+                     CapExceeded, ModulusOutOfRange, OutputNotWritable,
                      Rank3Error)
-from .families import (label_to_json, paley_connection_set,
-                       peisert_connection_set, vls_connection_set)
-from .fields import DEFAULT_FIELD_CAP, build_field, exceeds_cap
-from .graphs import (DEFAULT_SRG_CAP, NotStronglyRegular, build_cayley,
-                     export_edge_list, export_graph6, srg_params)
-from .znaction import DEFAULT_N_CAP, verify_lemma
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,21 +143,22 @@ def cmd_construct(args) -> int:
     if args.family == "vls" and args.ell is None:
         _note("error: --ell is required for the vls family")
         return 2
-    field = build_field(args.p, args.r, cap=args.field_cap)
+    field = fields.build_field(args.p, args.r, cap=args.field_cap)
     if args.family == "paley":
-        conn = paley_connection_set(field)
+        conn = families.paley_connection_set(field)
     elif args.family == "vls":
-        conn = vls_connection_set(field, args.ell,
-                                  allow_directed=args.allow_directed)
+        conn = families.vls_connection_set(
+            field, args.ell, allow_directed=args.allow_directed)
     else:
-        conn = peisert_connection_set(field, args.variant or 1)
-    graph = build_cayley(field, conn, allow_directed=args.allow_directed)
+        conn = families.peisert_connection_set(field, args.variant or 1)
+    graph = graphs.build_cayley(field, conn,
+                               allow_directed=args.allow_directed)
 
     srg_doc: dict | None = None
     srg_line = "directed graph: strong regularity not checked"
     if not graph.directed:
-        res = srg_params(graph, cap=args.srg_cap)
-        if isinstance(res, NotStronglyRegular):
+        res = graphs.srg_params(graph, cap=args.srg_cap)
+        if isinstance(res, graphs.NotStronglyRegular):
             srg_doc = {"not_strongly_regular": res.reason,
                        "witness": list(res.witness)}
             srg_line = f"not strongly regular: {res.reason} at {res.witness}"
@@ -168,20 +166,20 @@ def cmd_construct(args) -> int:
             srg_doc = res.to_json()
             srg_line = f"srg(v={res.v}, k={res.k}, lambda={res.lam}, mu={res.mu})"
 
-    summary = (f"GF({field.q}) {json.dumps(label_to_json(conn.label))} "
-               f"|S|={len(conn)} {srg_line}")
+    label = json.dumps(families.label_to_json(conn.label))
+    summary = f"GF({field.q}) {label} |S|={len(conn)} {srg_line}"
     with _out_stream(args.output) as out:
         if args.format == "graph6":
-            out.write(export_graph6(graph).decode("ascii") + "\n")
+            out.write(graphs.export_graph6(graph).decode("ascii") + "\n")
             _note(summary)
         elif args.format == "edges":
-            out.write(export_edge_list(graph))
+            out.write(graphs.export_edge_list(graph))
             _note(summary)
         elif args.format == "text":
             out.write(f"field: GF({field.q}) = GF({field.p}^{field.r}), "
                       f"modulus {list(field.modulus)}, "
                       f"omega {list(field.coeffs(field.omega))}\n")
-            out.write(f"family: {json.dumps(label_to_json(conn.label))}\n")
+            out.write(f"family: {label}\n")
             out.write(f"connection set ({len(conn)} indices): "
                       f"{conn.sorted_indices()}\n")
             out.write(f"parameters: {srg_line}\n")
@@ -194,7 +192,7 @@ def cmd_construct(args) -> int:
                 doc["arcs"] = [[i, j] for i in range(graph.q)
                                for j in graph.neighbors(i)]
             else:
-                doc["graph6"] = export_graph6(graph).decode("ascii")
+                doc["graph6"] = graphs.export_graph6(graph).decode("ascii")
             json.dump(doc, out, indent=2)
             out.write("\n")
     return 0
@@ -202,11 +200,11 @@ def cmd_construct(args) -> int:
 
 def cmd_classify(args) -> int:
     # reject on the cap before building the field
-    if exceeds_cap(args.p, args.r, args.cap):
+    if fields.exceeds_cap(args.p, args.r, args.cap):
         raise CapExceeded(
             f"q = {args.p}^{args.r} exceeds the classification cap {args.cap}")
-    field = build_field(args.p, args.r)
-    report = classify_field(field, cap=args.cap)
+    field = fields.build_field(args.p, args.r)
+    report = classify.classify_field(field, cap=args.cap)
     with _out_stream(args.output) as out:
         if args.format == "text":
             out.write(f"GF({field.q}): {len(report.entries)} two-orbit "
@@ -254,8 +252,9 @@ def cmd_verify(args) -> int:
                 f"--n-max {args.n_max} checks nothing: the lemma sweep starts "
                 f"at n = 2")
         with _out_stream(args.output) as out:
-            summary = verify_lemma(args.n_max, cap=args.cap, sink=out,
-                                   include_classes=args.classes)
+            summary = znaction.verify_lemma(args.n_max, cap=args.cap,
+                                            sink=out,
+                                            include_classes=args.classes)
         _note(f"lemma n <= {args.n_max}: {summary['contexts_checked']} contexts, "
               f"{summary['partitions_checked']} partitions, "
               f"{summary['violation_count']} violations")
@@ -269,9 +268,9 @@ def cmd_verify(args) -> int:
     # lesser of the two caps, holds the first q over it, whose error ends
     # the sweep
     cap = min(args.cap, DEFAULT_FIELD_CAP)
-    qs = args.q or prime_powers_up_to(min(q_max, max(2 * cap, 2)))
+    qs = args.q or classify.prime_powers_up_to(min(q_max, max(2 * cap, 2)))
     with _out_stream(args.output) as out:
-        summary = verify_theorem(qs, cap=args.cap, sink=out)
+        summary = classify.verify_theorem(qs, cap=args.cap, sink=out)
     _note(f"theorem: {summary['fields_checked']} fields, "
           f"{summary['unmatched_total']} unmatched")
     return 0 if summary["all_matched"] else 1

@@ -42,6 +42,12 @@ class CapExceeded(Rank3Error):
     pass
 
 
+# the default caps, here so that the CLI's parser loads no other module
+DEFAULT_FIELD_CAP = 2 ** 20  # field order q
+DEFAULT_N_CAP = 4096  # modulus n of the lemma, field order q of classify
+DEFAULT_SRG_CAP = 1024  # vertices of a strong-regularity check
+
+
 class FieldMismatch(Rank3Error):
     pass
 

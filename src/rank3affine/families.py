@@ -21,7 +21,8 @@ from __future__ import annotations
 from .errors import (BadVariant, CharCondition, DegreeCondition, EmptySet,
                      IndexOutOfRange, InvariantViolation, NotPrime,
                      NotSymmetric, OrderCondition)
-from .fields import FiniteField, is_prime, mult_order
+from .arith import is_prime, mult_order
+from .fields import FiniteField
 from .values import Value
 
 

@@ -13,9 +13,13 @@ irreducible of degree r over GF(p) in lexicographic order by Rabin's test,
 skipping constant term 0 (X divides those); omega is the first element, in
 the same order, whose (q - 1)/l-th power is not 1 for any prime l | q - 1.
 Its candidates are the codes 1, ..., q - 1 read with their digits reversed,
-so no pool of p ints is copied.  There are three paths:
+so no pool of p ints is copied.  The number theory on integers, the
+primality of p, the primes of r and of q - 1 and the primitive-root test,
+comes from `arith`, which the lemma reads without loading this module.
+There are three paths:
 
-- r = 1: omega is the least primitive root mod p, by `is_primitive_root`.
+- r = 1: omega is the least primitive root mod p, by
+  `arith.is_primitive_root`.
 - p = 2: both searches run on bit-polynomials, ints whose bit i is the
   coefficient of X^i, so a product is shifts and XORs and a square spreads
   the bits; build_field(2, 16) takes about 0.3 ms and build_field(2, 20)
@@ -30,72 +34,21 @@ across threads.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
-from math import gcd
 from operator import xor
 from typing import Iterator
 
-from .errors import (CapExceeded, DegreeOutOfRange, InvariantViolation,
-                     NotAUnit, NotPrime)
+from .arith import is_prime, is_primitive_root, prime_factors
+from .errors import (DEFAULT_FIELD_CAP, CapExceeded, DegreeOutOfRange,
+                     InvariantViolation, NotPrime)
 from .values import Value
-
-DEFAULT_FIELD_CAP = 2 ** 20
-
-
-def is_prime(n: int) -> bool:
-    return prime_factors(n) == (n,)
 
 
 def exceeds_cap(p: int, r: int, cap: int) -> bool:
     """Whether q = p^r > cap, for p >= 2 and r >= 1, never forming a huge
     p^r: 2^r > cap once r >= its bit length."""
     return p >= 2 and r >= 1 and (r >= cap.bit_length() or p ** r > cap)
-
-
-@lru_cache(maxsize=None)
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n, ascending; each n is factored once."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def mult_order(x: int, modulus: int) -> int:
-    """Multiplicative order of the unit x modulo modulus.
-
-    The order divides phi(modulus): strip each prime of phi from it while x
-    to the remaining power is still 1.  Both modulus and phi are factored
-    once, by the cache of prime_factors.
-    """
-    if gcd(x, modulus) != 1:
-        raise NotAUnit(f"{x} is not a unit mod {modulus}")
-    phi = modulus
-    for p in prime_factors(modulus):
-        phi -= phi // p
-    order = phi
-    for q in prime_factors(phi):
-        while order % q == 0 and pow(x, order // q, modulus) == 1:
-            order //= q
-    return order
-
-
-def is_primitive_root(x: int, p: int) -> bool:
-    """Whether the unit x generates Z_p^*, for a prime p: no x^((p-1)/l)
-    is 1 for a prime l | p - 1.  One pow per prime of p - 1, whose factors
-    are cached, and no order search."""
-    for l in prime_factors(p - 1):
-        if pow(x, (p - 1) // l, p) == 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,12 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterator
 
-from .errors import (CapExceeded, Directed, FieldMismatch,
+from .errors import (DEFAULT_SRG_CAP, CapExceeded, Directed, FieldMismatch,
                      InfeasibleParameters, InvariantViolation, NotSymmetric,
                      TooLarge)
 from .families import ConnectionSet
 from .fields import FiniteField
 from .values import Value
-
-DEFAULT_SRG_CAP = 1024
 
 # one byte per bit of a bitset, and back: b"\0" / b"\1" <-> b"0" / b"1"
 _FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -101,12 +101,10 @@ from functools import lru_cache
 from itertools import chain, compress
 from math import gcd
 
-from .errors import (CapExceeded, InvariantViolation, MalformedPartition,
-                     ModulusOutOfRange, NotAUnit)
-from .fields import is_prime, is_primitive_root, prime_factors
+from .arith import is_prime, is_primitive_root, prime_factors
+from .errors import (DEFAULT_N_CAP, CapExceeded, InvariantViolation,
+                     MalformedPartition, ModulusOutOfRange, NotAUnit)
 from .values import Value
-
-DEFAULT_N_CAP = 4096
 
 
 def units(n: int) -> list[int]:

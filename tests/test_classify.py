@@ -9,6 +9,7 @@ from rank3affine.classify import (as_prime_power, classify_field, family_key,
                                   gammal1_context, prime_powers_up_to,
                                   verify_theorem)
 from rank3affine import families
+from rank3affine.arith import mult_order
 from rank3affine.errors import (CapExceeded, CharCondition, DegenerateModulus,
                                 DegreeCondition, InvariantViolation, NotPrime,
                                 OrderCondition)
@@ -16,7 +17,7 @@ from rank3affine.families import (GeneralizedPaley, Paley, Peisert, Unmatched,
                                   paley_index_set, peisert_connection_set,
                                   peisert_index_set, vls_connection_set,
                                   vls_index_set)
-from rank3affine.fields import build_field, mult_order
+from rank3affine.fields import build_field
 from rank3affine.znaction import Case1, Case2, two_orbit_partitions_with_generators
 
 

@@ -84,12 +84,12 @@ STRAY_CONSTRUCT_FLAGS = [
                               STRAY_CONSTRUCT_FLAGS])
 def test_construct_flag_of_another_family_is_usage_error(
         capsys, monkeypatch, args, message):
-    import rank3affine.cli as cli
+    import rank3affine.fields as fields
 
     def no_field(*_args, **_kwargs):
         raise AssertionError("the field was built")
 
-    monkeypatch.setattr(cli, "build_field", no_field)
+    monkeypatch.setattr(fields, "build_field", no_field)
     code, out, err = run(capsys, "construct", *args)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
@@ -260,12 +260,12 @@ def test_verify_theorem_non_prime_power_is_usage_error(capsys):
 
 
 def test_classify_cap_checked_before_building(capsys, monkeypatch):
-    import rank3affine.cli as cli
+    import rank3affine.fields as fields
 
     def no_build(*args, **kwargs):
         raise AssertionError("build_field called before the cap check")
 
-    monkeypatch.setattr(cli, "build_field", no_build)
+    monkeypatch.setattr(fields, "build_field", no_build)
     for r in ("16", "1000000000"):
         code, _, err = run(capsys, "classify", "--p", "2", "--r", r)
         assert code == 2
@@ -568,7 +568,7 @@ def test_numpy_never_imported(argv, tmp_path):
     if argv is not None:
         argv = argv + ["--output", str(tmp_path / "report")]
         lines += ["from rank3affine.cli import main",
-                  f"assert main({argv!r}) == 0"]
+                  f"if main({argv!r}) != 0: sys.exit('exit code not 0')"]
     # dataclasses alone, with the inspect it imports, costs every command
     # several milliseconds of start-up
     lines.append("print(*(name in sys.modules for name in "
@@ -577,3 +577,64 @@ def test_numpy_never_imported(argv, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"] * 3
+
+
+LAZY_MODULES = ("fields", "families", "graphs", "znaction", "classify")
+
+
+@pytest.mark.parametrize("argv, idle", [
+    (None, LAZY_MODULES),
+    (["verify", "--lemma", "--n-max", "5"],
+     ("fields", "families", "graphs", "classify")),
+    (["verify", "--theorem", "--q", "9"], ("graphs",)),
+    (CONSTRUCT_PALEY13, ("znaction", "classify")),
+], ids=["import", "verify-lemma", "verify-theorem", "construct"])
+def test_command_runs_only_the_modules_it_calls(argv, idle, tmp_path):
+    # the lazy modules are in sys.modules from `import rank3affine` on, and
+    # each runs on its first attribute access; object.__getattribute__
+    # reads a module's dict without that access, and one that never ran
+    # holds no name of its own
+    lines = ["import sys", "import rank3affine"]
+    if argv is not None:
+        argv = argv + ["--output", str(tmp_path / "report")]
+        # not an assert, which python -O would strip with the call
+        lines += ["from rank3affine.cli import main",
+                  f"if main({argv!r}) != 0: sys.exit('exit code not 0')"]
+    lines += [f"for name in {LAZY_MODULES!r}:",
+              "    module = sys.modules['rank3affine.' + name]",
+              "    names = object.__getattribute__(module, '__dict__')",
+              "    if any(not key.startswith('__') for key in names):",
+              "        print(name)"]
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [m for m in LAZY_MODULES if m not in idle]
+
+
+def test_first_access_from_two_threads_waits_for_the_load():
+    # one thread holds fields mid-load while a second reads a name from it;
+    # the second must wait for the load, not see a half-run module
+    script = "\n".join([
+        "import sys, threading, time",
+        "import rank3affine",
+        "module = sys.modules['rank3affine.fields']",
+        "loader = object.__getattribute__(module, '__spec__').loader",
+        "run, started = loader.exec_module, threading.Event()",
+        "def slow_run(m):",
+        "    started.set()",
+        "    time.sleep(0.3)",
+        "    run(m)",
+        "loader.exec_module = slow_run",
+        "got = []",
+        "first = threading.Thread(",
+        "    target=lambda: got.append(rank3affine.fields.FiniteField))",
+        "first.start()",
+        "started.wait()",
+        "print(rank3affine.build_field(3, 2).q)",
+        "first.join()",
+        "print(got == [rank3affine.FiniteField])",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "9\nTrue\n"

@@ -3,13 +3,13 @@ import random
 import pytest
 
 import oracles
+from rank3affine.arith import mult_order
 from rank3affine.errors import (CharCondition, DegreeCondition, EmptySet,
                                 IndexOutOfRange, NotPrime, NotSymmetric,
                                 OrderCondition)
 from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley,
-                                  mult_order, paley_connection_set,
-                                  paley_index_set, peisert_connection_set,
-                                  vls_connection_set)
+                                  paley_connection_set, paley_index_set,
+                                  peisert_connection_set, vls_connection_set)
 from rank3affine.fields import build_field
 from rank3affine.classify import prime_powers_up_to, as_prime_power
 from rank3affine.znaction import OrbitPartition

@@ -6,12 +6,12 @@ from math import gcd
 import pytest
 
 import oracles
-from rank3affine import fields
+from rank3affine import arith, fields
+from rank3affine.arith import is_prime, is_primitive_root, mult_order
 from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.errors import (CapExceeded, DegreeOutOfRange,
                                 InvariantViolation, NotAUnit, NotPrime)
-from rank3affine.fields import (build_field, is_prime,
-                               is_primitive_root, mult_order)
+from rank3affine.fields import build_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (2, 6)]
 
@@ -166,8 +166,11 @@ def test_no_irreducible_modulus_raises_invariant_violation(monkeypatch, p, r):
 @pytest.mark.parametrize("p, r", [(13, 1), (2, 4), (3, 2)])
 def test_no_primitive_element_raises_invariant_violation(monkeypatch, p, r):
     f = build_field(p, r)
-    # with q - 1 itself as the only exponent, every candidate's power is 1
-    monkeypatch.setattr(fields, "prime_factors", lambda n: [1])
+    # with q - 1 itself as the only exponent, every candidate's power is 1;
+    # fields reads prime_factors for q - 1, arith's is_primitive_root for
+    # p - 1
+    for module in (fields, arith):
+        monkeypatch.setattr(module, "prime_factors", lambda n: [1])
     with pytest.raises(InvariantViolation, match="no primitive element"):
         f._find_omega()
 

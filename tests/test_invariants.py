@@ -2,12 +2,14 @@
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
 import oracles
 import rank3affine
 from rank3affine import fields
+from rank3affine.arith import prime_factors
 from rank3affine.errors import (BadVariant, FieldMismatch, IndexOutOfRange,
                                 InfeasibleParameters, InvariantViolation,
                                 ModulusOutOfRange, NotAUnit, NotPrimePower,
@@ -17,7 +19,7 @@ from rank3affine.classify import (ClassificationReport, ClassifiedPartition,
 from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley,
                                   Peisert, Unmatched, paley_connection_set,
                                   peisert_connection_set)
-from rank3affine.fields import FiniteField, build_field, prime_factors
+from rank3affine.fields import FiniteField, build_field
 from rank3affine.graphs import NotStronglyRegular, SrgParams, build_cayley
 from rank3affine.znaction import (AffineActionContext, Case1, Case2,
                                   OrbitPartition, Violation)
@@ -71,9 +73,17 @@ def test_no_numpy_import_in_src():
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in rank3affine.__all__
-               if not hasattr(rank3affine, name)]
-    assert missing == []
+    # each public name, read through the lazy modules and the package's
+    # __getattr__, is its home module's own object
+    namespace = {}
+    exec("from rank3affine import *", namespace)
+    for name in rank3affine.__all__:
+        value = getattr(rank3affine, name)
+        home = sys.modules[getattr(value, "__module__", value.__name__)]
+        assert home.__name__.startswith("rank3affine."), name
+        assert value is namespace[name], name
+        assert value is (home if name == "errors" else getattr(home, name))
+    assert not hasattr(rank3affine, "no_such_name")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from math import gcd
 import pytest
 
 import oracles
+from rank3affine.arith import is_prime, is_primitive_root, mult_order
 from rank3affine.errors import (CapExceeded, EmptySet, InvariantViolation,
                                MalformedPartition)
 from rank3affine.classify import as_prime_power, prime_powers_up_to
-from rank3affine.fields import is_prime, mult_order
 import rank3affine.znaction as znaction
 from rank3affine.znaction import (AffineActionContext, Case1, Case2,
                                   OrbitPartition, Violation, _radical_full_table,
@@ -190,14 +190,40 @@ def test_certificate_script_exits_0_and_1(monkeypatch, capsys):
     # when they hold and 1, naming each failure, when a table or a field
     # disagrees with its oracle
     import certify
+    monkeypatch.setattr(certify, "PRIMES", 0)
+    monkeypatch.setattr(certify, "CONTEXTS", 0)
     assert certify.main(["--k-max", "12", "--q-max", "9"]) == 0
+    monkeypatch.setattr(certify, "PRIMES", 2)
+    monkeypatch.setattr(certify, "CONTEXTS", 1)
     monkeypatch.setattr(certify, "_radical_full_table", lambda k, b: ())
     monkeypatch.setattr(oracles, "classified_field_codes", lambda q: set())
+    # the sampled checks disagree too, and cost nothing
+    monkeypatch.setattr(oracles, "radical_full_oracle", lambda k, b: (k, b))
+    monkeypatch.setattr(oracles, "per_shift_two_orbit_partitions",
+                        lambda ctx: {})
+    monkeypatch.setattr(certify, "two_orbit_partitions_with_generators",
+                        lambda ctx: None)
     assert certify.main(["--k-max", "3", "--q-max", "3"]) == 1
     out = capsys.readouterr().out
     assert "k = 3, b = 2: the table is not the per-shift scan" in out
+    assert "k = 4093, b = 2: the table is not the per-shift scan" in out
+    assert "the partitions are not the per-shift scan's" in out
     assert "q = 3: classify_field's partitions are not" in out
-    assert out.endswith("3 failures\n")
+    # the three (k, b) with k <= 3, two b for each of two primes, one
+    # context and q = 3
+    assert out.endswith("9 failures\n")
+
+
+def test_certificate_samples_reach_the_lemma_cap():
+    import certify
+    primes = certify.sampled_primes(400, 25, random.Random(0))
+    assert len(primes) == 25 and primes[-1] == 4093 and primes[0] > 400
+    assert all(is_prime(k) for k in primes)
+    assert certify.sampled_primes(4093, 25, random.Random(0)) == []
+    for k in (3, 1009, 4093):
+        root, other = certify.root_and_non_root(k, random.Random(k))
+        assert is_primitive_root(root, k) and not is_primitive_root(other, k)
+        assert not any(is_primitive_root(b, k) for b in range(1, root))
 
 
 def test_parity_swapping_tables_match_per_shift_scan():
