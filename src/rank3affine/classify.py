@@ -47,16 +47,23 @@ from .values import Value
 
 
 def gammal1_context(field: FiniteField) -> AffineActionContext:
-    """The dlog-space context (n = q - 1, a = p); Frobenius has order r."""
+    """The dlog-space context (n = q - 1, a = p); Frobenius has order r.
+
+    p^j = 1 mod (q-1) forces p^j - 1 >= q - 1, so the order is exactly r:
+    p^r = 1 and no p^(r/l) = 1 for a prime l | r.  That check factors only
+    r; mult_order, which would factor q - 1 and phi(q - 1) and keep both in
+    the cache of prime_factors, runs only to word a failure.
+    """
     if field.q == 2:
         raise DegenerateModulus(
             "q = 2: F_q^* is a single point, no two-orbit partitions exist")
     ctx = AffineActionContext(field.q - 1, field.p)
-    # p^j = 1 mod (q-1) forces p^j - 1 >= q - 1, so the order is exactly r
-    order = mult_order(ctx.a, ctx.n)
-    if order != field.r:
+    a, n, r = ctx.a, ctx.n, field.r
+    if pow(a, r, n) != 1 or any(pow(a, r // l, n) == 1
+                                for l in prime_factors(r)):
         raise InvariantViolation(
-            f"p = {field.p} has order {order} mod {ctx.n}, not r = {field.r}")
+            f"p = {field.p} has order {mult_order(a, n)} mod {n}, "
+            f"not r = {r}")
     return ctx
 
 
@@ -186,8 +193,11 @@ def prime_powers_up_to(q_max: int) -> list[int]:
 def verify_theorem(q_values, cap: int = DEFAULT_N_CAP, sink=None) -> dict:
     """Run classify_field over the given q values and tally unmatched counts.
 
-    When sink is given, the full per-field reports (with class arrays) are
-    streamed to it as one JSON document.
+    Returns fields_checked, unmatched_total and all_matched, nothing per
+    field: a field's report is dropped once its document is written, so a
+    sweep to the field cap holds one field at a time.  When sink is given,
+    the full per-field reports (with class arrays) are streamed to it as one
+    JSON document, which is where each field's counts and families are.
     """
     qs = sorted(set(q_values))
     # the least q over a cap fails first: factoring a huge q would not end
@@ -196,37 +206,19 @@ def verify_theorem(q_values, cap: int = DEFAULT_N_CAP, sink=None) -> dict:
         raise CapExceeded(
             f"q = {q} exceeds the classification cap {cap}" if q > cap
             else f"q = {q} exceeds the field cap {DEFAULT_FIELD_CAP}")
-    orders = []
-    for q in qs:
-        pr = as_prime_power(q)
-        if pr is None:
-            raise NotPrimePower(f"q = {q} is not a prime power")
-        orders.append((q, *pr))
-    fields_summary = []
+    q = next((q for q in qs if as_prime_power(q) is None), None)
+    if q is not None:
+        raise NotPrimePower(f"q = {q} is not a prime power")
     unmatched_total = 0
     if sink:
         sink.write('{"fields": [\n')
-    first = True
-    for q, p, r in orders:
-        field = build_field(p, r)
-        report = classify_field(field, cap=cap)
+    for i, q in enumerate(qs):
+        report = classify_field(build_field(*as_prime_power(q)), cap=cap)
         unmatched_total += report.unmatched_count
-        fields_summary.append({
-            "q": q, "p": p, "r": r,
-            "partitions": len(report.entries),
-            "families": report.families_present(),
-            "unmatched": report.unmatched_count,
-        })
         if sink:
-            sink.write(("" if first else ",\n") + report.dumps())
-            first = False
-    summary = {
-        "fields": fields_summary,
-        "fields_checked": len(fields_summary),
-        "unmatched_total": unmatched_total,
-        "all_matched": unmatched_total == 0,
-    }
+            sink.write((",\n" if i else "") + report.dumps())
+    summary = {"fields_checked": len(qs), "unmatched_total": unmatched_total,
+               "all_matched": unmatched_total == 0}
     if sink:
-        sink.write("\n], " + json.dumps({k: summary[k] for k in (
-            "fields_checked", "unmatched_total", "all_matched")})[1:] + "\n")
+        sink.write("\n], " + json.dumps(summary)[1:] + "\n")
     return summary

@@ -203,10 +203,12 @@ def json_splice(head: dict, key: str, raw: str, tail: dict) -> str:
 # two-orbit subgroup enumeration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _table_moduli(n: int) -> tuple[int, ...]:
     # the k | n with a table (see the module docstring), in report order:
-    # the odd primes descending, then 2, then 4
+    # the odd primes descending, then 2, then 4.  Only the last n is kept:
+    # the lemma asks for one n for all its units and subgroups, the theorem
+    # once per field, and prime_factors already caches each n
     return (tuple(p for p in reversed(prime_factors(n)) if p > 2)
             + tuple(k for k in (2, 4) if n % k == 0))
 

@@ -12,7 +12,10 @@ the power walk of oracles.loop_mult_order, and CONTEXTS seeded contexts
 oracles.per_shift_two_orbit_partitions (n = 4096 alone takes 20 s).  For
 every prime power q <= Q, the two-orbit partitions of classify_field,
 mapped to field elements through the powers of omega, must equal those
-oracles.field_side_two_orbit_partitions finds on the field itself.
+oracles.field_side_two_orbit_partitions finds on the field itself.  For
+every prime power q <= SWEEP_Q, the field cap 2^20, classify_field must
+match every partition it finds and find as many as
+oracles.closed_form_count, SWEEP_PARTITIONS in all.
 
 Exits 0 when every check holds and 1 when any fails, each failure named on
 stdout; bad arguments exit 2.  pytest does not collect this file: tier-1
@@ -25,14 +28,18 @@ import sys
 import time
 
 import oracles
-from rank3affine.classify import prime_powers_up_to
+from rank3affine.classify import classify_field, prime_powers_up_to
 from rank3affine.errors import DEFAULT_N_CAP
+from rank3affine.fields import build_field
 from rank3affine.znaction import (AffineActionContext, _radical_full_table,
                                   two_orbit_partitions_with_generators, units)
 
 SEED = 0
 PRIMES = 30
 CONTEXTS = 8
+SWEEP_Q = 2 ** 20
+# the two-orbit partitions of every field q <= SWEEP_Q
+SWEEP_PARTITIONS = 82895
 
 
 def sampled_primes(k_max: int, count: int, rng: random.Random) -> list[int]:
@@ -111,6 +118,25 @@ def main(argv=None) -> int:
             failures += 1
     print(f"fields: {len(qs)} prime powers q <= {args.q_max} "
           f"({time.perf_counter() - start:.1f} s)")
+    start = time.perf_counter()
+    qs = prime_powers_up_to(SWEEP_Q)
+    total = 0
+    for q in qs:
+        p, r = oracles.trial_division_prime_power(q)
+        report = classify_field(build_field(p, r), cap=SWEEP_Q)
+        count = oracles.closed_form_count(p, r)
+        if len(report.entries) != count or report.unmatched_count:
+            print(f"q = {q}: classify_field finds {len(report.entries)} "
+                  f"partitions, {report.unmatched_count} unmatched; the "
+                  f"closed form counts {count}")
+            failures += 1
+        total += len(report.entries)
+    if total != SWEEP_PARTITIONS:
+        print(f"the fields q <= {SWEEP_Q} have {total} partitions, not "
+              f"{SWEEP_PARTITIONS}")
+        failures += 1
+    print(f"field counts: {len(qs)} prime powers q <= {SWEEP_Q}, {total} "
+          f"partitions ({time.perf_counter() - start:.1f} s)")
     print(f"{failures} failures")
     return 1 if failures else 0
 

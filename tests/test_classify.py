@@ -1,5 +1,6 @@
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,10 +39,28 @@ def test_gammal1_degenerate():
         gammal1_context(build_field(2, 1))
 
 
-def test_gammal1_context_checks_the_order_of_p(monkeypatch):
-    monkeypatch.setattr(classify, "mult_order", lambda x, modulus: 3)
-    with pytest.raises(InvariantViolation, match="not r = 2"):
-        gammal1_context(build_field(3, 2))
+def test_gammal1_context_checks_the_order_of_p():
+    # stand-ins whose r is not the order of p mod q - 1: p^r is not 1, and
+    # p^r is 1 but so is p^(r/2)
+    with pytest.raises(InvariantViolation,
+                       match=r"^p = 2 has order 4 mod 15, not r = 3$"):
+        gammal1_context(SimpleNamespace(q=16, p=2, r=3))
+    with pytest.raises(InvariantViolation,
+                       match=r"^p = 3 has order 2 mod 8, not r = 4$"):
+        gammal1_context(SimpleNamespace(q=9, p=3, r=4))
+
+
+def test_gammal1_context_computes_no_order(monkeypatch):
+    # the order of p is checked from r alone: mult_order would factor q - 1
+    # and phi(q - 1) into the cache of prime_factors
+    def refuse(*args):
+        raise AssertionError("gammal1_context computed an order")
+
+    monkeypatch.setattr(classify, "mult_order", refuse)
+    for q in prime_powers_up_to(4096)[1:]:
+        p, r = as_prime_power(q)
+        ctx = gammal1_context(SimpleNamespace(q=q, p=p, r=r))
+        assert (ctx.n, ctx.a) == (q - 1, p % (q - 1))
 
 
 def test_dictionary_equivariance():
@@ -319,9 +338,32 @@ def test_verify_theorem_small():
     doc = json.loads(buf.getvalue())
     assert doc["unmatched_total"] == 0
     assert len(doc["fields"]) == 8
-    by_q = {d["q"]: d for d in summary["fields"]}
+    by_q = {d["q"]: d for d in doc["fields"]}
     assert by_q[9]["families"] == ["paley", "peisert(1)", "peisert(3)"]
     assert by_q[25]["families"] == ["generalized-paley(3,1)", "paley"]
+
+
+def test_verify_theorem_returns_only_the_stream_tail(monkeypatch):
+    # nothing per field is kept: the summary is the three counts that end
+    # the stream, with and without unmatched partitions
+    qs = [4, 5, 9, 13, 16]
+
+    def sweep():
+        buf = io.StringIO()
+        summary = verify_theorem(qs, sink=buf)
+        doc = json.loads(buf.getvalue())
+        assert list(summary) == ["fields_checked", "unmatched_total",
+                                 "all_matched"]
+        assert summary == {k: doc[k] for k in summary}
+        return summary
+
+    assert sweep() == {"fields_checked": 5, "unmatched_total": 0,
+                       "all_matched": True}
+    monkeypatch.setattr(classify, "_match_family",
+                        lambda field, case: (Unmatched(), 0))
+    total = sum(oracles.closed_form_count(*as_prime_power(q)) for q in qs)
+    assert sweep() == {"fields_checked": 5, "unmatched_total": total,
+                       "all_matched": False}
 
 
 def test_verify_theorem_rejects_non_prime_power():
@@ -363,5 +405,7 @@ def test_verify_theorem_past_the_default_cap():
     assert summary["fields_checked"] == len(qs) == 1357
     assert summary["unmatched_total"] == 0 and summary["all_matched"]
     # and each field's count is the closed form, found without enumerating
-    for f in summary["fields"]:
-        assert f["partitions"] == oracles.closed_form_count(f["p"], f["r"]), f
+    for q in qs:
+        p, r = as_prime_power(q)
+        report = classify_field(build_field(p, r), cap=16384)
+        assert len(report.entries) == oracles.closed_form_count(p, r), q

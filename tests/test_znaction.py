@@ -187,12 +187,16 @@ def test_tables_match_per_shift_scan():
 
 def test_certificate_script_exits_0_and_1(monkeypatch, capsys):
     # tests/certify.py runs these checks past tier-1's ranges; it exits 0
-    # when they hold and 1, naming each failure, when a table or a field
-    # disagrees with its oracle
+    # when they hold and 1, naming each failure, when a table, a field or a
+    # field's count disagrees with its oracle
     import certify
     monkeypatch.setattr(certify, "PRIMES", 0)
     monkeypatch.setattr(certify, "CONTEXTS", 0)
+    monkeypatch.setattr(certify, "SWEEP_Q", 9)
+    monkeypatch.setattr(certify, "SWEEP_PARTITIONS", 9)
     assert certify.main(["--k-max", "12", "--q-max", "9"]) == 0
+    assert "field counts: 7 prime powers q <= 9, 9 partitions" in (
+        capsys.readouterr().out)
     monkeypatch.setattr(certify, "PRIMES", 2)
     monkeypatch.setattr(certify, "CONTEXTS", 1)
     monkeypatch.setattr(certify, "_radical_full_table", lambda k, b: ())
@@ -203,15 +207,20 @@ def test_certificate_script_exits_0_and_1(monkeypatch, capsys):
                         lambda ctx: {})
     monkeypatch.setattr(certify, "two_orbit_partitions_with_generators",
                         lambda ctx: None)
+    monkeypatch.setattr(certify, "SWEEP_Q", 3)
+    monkeypatch.setattr(oracles, "closed_form_count", lambda p, r: 0)
     assert certify.main(["--k-max", "3", "--q-max", "3"]) == 1
     out = capsys.readouterr().out
     assert "k = 3, b = 2: the table is not the per-shift scan" in out
     assert "k = 4093, b = 2: the table is not the per-shift scan" in out
     assert "the partitions are not the per-shift scan's" in out
     assert "q = 3: classify_field's partitions are not" in out
+    assert ("q = 3: classify_field finds 1 partitions, 0 unmatched; the "
+            "closed form counts 0") in out
+    assert "the fields q <= 3 have 1 partitions, not 9" in out
     # the three (k, b) with k <= 3, two b for each of two primes, one
-    # context and q = 3
-    assert out.endswith("9 failures\n")
+    # context, q = 3 on the field and by its count, and the total
+    assert out.endswith("11 failures\n")
 
 
 def test_certificate_samples_reach_the_lemma_cap():
