@@ -151,8 +151,7 @@ def cmd_construct(args) -> int:
             field, args.ell, allow_directed=args.allow_directed)
     else:
         conn = families.peisert_connection_set(field, args.variant or 1)
-    graph = graphs.build_cayley(field, conn,
-                               allow_directed=args.allow_directed)
+    graph = graphs.build_cayley(field, conn)
 
     srg_doc: dict | None = None
     srg_line = "directed graph: strong regularity not checked"

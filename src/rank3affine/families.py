@@ -6,12 +6,14 @@ constructions:
 
   * generalized Paley (Van Lint-Schrijver): the index-ell subgroup <omega^ell>,
     requiring ell prime with ord_ell(p) = ell - 1 and q = p^((ell-1)k);
-  * classical Paley: the nonzero squares, i.e. even dlog indices, q = 1 mod 4;
+  * classical Paley: the nonzero squares, the index-2 subgroup, q = 1 mod 4;
   * Peisert: <omega^4> united with <omega^4>*omega^i for i in {1, 3},
     requiring p = 3 mod 4 and r even.
 
-Symmetry (S = -S, needed for an undirected graph) is enforced at
-construction; allow_directed=True skips the check for exploratory use.
+A Cayley graph is directed exactly when its set is not closed under
+negation, so these constructors are the one gate for asymmetric sets: Paley
+needs q = 1 mod 4, a Peisert set is always symmetric, and
+vls_connection_set refuses an asymmetric subgroup unless allow_directed=True.
 vls_label and peisert_label check a family's preconditions without building
 a set; the constructors call them first, and classify calls only them.
 """
@@ -136,17 +138,13 @@ def vls_connection_set(field: FiniteField, ell: int,
     return conn
 
 
-def paley_index_set(q: int) -> frozenset:
-    return frozenset(range(0, q - 1, 2))
-
-
 def paley_connection_set(field: FiniteField) -> ConnectionSet:
     """The nonzero squares; undirected only for q = 1 mod 4."""
     if field.q % 4 != 1:
         raise NotSymmetric(
             f"q = {field.q} = {field.q % 4} mod 4; the squares are symmetric "
             f"only when q = 1 mod 4")
-    return ConnectionSet(field, paley_index_set(field.q), Paley())
+    return ConnectionSet(field, vls_index_set(field.q, 2), Paley())
 
 
 def peisert_index_set(q: int, variant: int) -> frozenset:

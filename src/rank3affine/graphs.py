@@ -1,14 +1,15 @@
 """Cayley graphs over the additive group of GF(q).
 
 There is an arc x -> y iff y - x lies in the connection set S, so a graph is
-fixed by S alone.  It is stored as the indicator of S's element codes, one
-Python int whose bit c is set iff code c lies in S; no q x q matrix is ever
-built.  Row x of the adjacency is the translate S + x, again one int.
-Adding e_i, the element with code p^i, to every member of such a bitset
-moves the codes whose digit i is below p - 1 up by p^i and the rest down by
-(p - 1) p^i: two masks and two shifts, which is XOR for p = 2 and a rotation
-for r = 1.  Walking x in code order takes each row from the previous one
-with one such step per digit that changes.
+fixed by S alone, direction too: it is undirected exactly when S = -S (the
+SRG check and the exports refuse a directed one).  It is stored as the
+indicator of S's element codes, one Python int whose bit c is set iff code
+c lies in S; no q x q matrix is ever built.  Row x of the adjacency is the
+translate S + x, again one int.  Adding e_i, the element with code p^i, to
+every member of such a bitset moves the codes whose digit i is below p - 1
+up by p^i and the rest down by (p - 1) p^i: two masks and two shifts, which
+is XOR for p = 2 and a rotation for r = 1.  Walking x in code order takes
+each row from the previous one with one such step per digit that changes.
 
 Translations are automorphisms, so the number of common neighbors of a pair
 (x, y) is the difference count c(y - x) = |S & (y - x + S)|, which the SRG
@@ -27,8 +28,7 @@ from itertools import compress
 from typing import Iterator
 
 from .errors import (DEFAULT_SRG_CAP, CapExceeded, Directed, FieldMismatch,
-                     InfeasibleParameters, InvariantViolation, NotSymmetric,
-                     TooLarge)
+                     InfeasibleParameters, InvariantViolation, TooLarge)
 from .families import ConnectionSet
 from .fields import FiniteField
 from .values import Value
@@ -66,17 +66,11 @@ class CayleyGraph(Value):
         return f"CayleyGraph(q={self.q}, degree={len(self.connection)})"
 
 
-def build_cayley(field: FiniteField, connection: ConnectionSet,
-                 allow_directed: bool = False) -> CayleyGraph:
+def build_cayley(field: FiniteField, connection: ConnectionSet) -> CayleyGraph:
     """Build the Cayley graph of F_q^+ with the given connection set, whose
     codes are marked as the field's walk of the powers of omega streams by."""
     if field != connection.field:
         raise FieldMismatch("connection set belongs to a different field")
-    symmetric = connection.is_symmetric()
-    if not symmetric and not allow_directed:
-        raise NotSymmetric(
-            "connection set is not closed under negation; the graph would be "
-            "directed (q = 3 mod 4 squares, for instance)")
     mark = bytearray(field.q)
     inside = map(connection.indices.__contains__, range(field.q - 1))
     # compress pulls each power before its flag: the walk runs to its end check
@@ -89,7 +83,8 @@ def build_cayley(field: FiniteField, connection: ConnectionSet,
         raise InvariantViolation(
             f"the {len(connection)} dlog indices of the connection set map to "
             f"{distinct} distinct elements of GF({field.q})")
-    return CayleyGraph(field, connection, indicator, directed=not symmetric)
+    return CayleyGraph(field, connection, indicator,
+                       directed=not connection.is_symmetric())
 
 
 # ---------------------------------------------------------------------------

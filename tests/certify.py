@@ -15,7 +15,9 @@ mapped to field elements through the powers of omega, must equal those
 oracles.field_side_two_orbit_partitions finds on the field itself.  For
 every prime power q <= SWEEP_Q, the field cap 2^20, classify_field must
 match every partition it finds and find as many as
-oracles.closed_form_count, SWEEP_PARTITIONS in all.
+oracles.closed_form_count, SWEEP_PARTITIONS in all, and the sha256 of the
+fields' descriptors, one json.dumps line each in order of q, must be
+FIELD_DIGEST: every modulus and omega up to the field cap is pinned.
 
 Exits 0 when every check holds and 1 when any fails, each failure named on
 stdout; bad arguments exit 2.  pytest does not collect this file: tier-1
@@ -23,6 +25,8 @@ runs the same checks on smaller ranges, and CI runs this as its own job.
 """
 
 import argparse
+import hashlib
+import json
 import random
 import sys
 import time
@@ -40,6 +44,9 @@ CONTEXTS = 8
 SWEEP_Q = 2 ** 20
 # the two-orbit partitions of every field q <= SWEEP_Q
 SWEEP_PARTITIONS = 82895
+# the sha256 of the descriptor lines of every field q <= SWEEP_Q
+FIELD_DIGEST = (
+    "fcb5967b52992d89b6cca426738836a4dc3bd51e84acd2f28b15051baa912ea1")
 
 
 def sampled_primes(k_max: int, count: int, rng: random.Random) -> list[int]:
@@ -121,9 +128,12 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     qs = prime_powers_up_to(SWEEP_Q)
     total = 0
+    digest = hashlib.sha256()
     for q in qs:
         p, r = oracles.trial_division_prime_power(q)
-        report = classify_field(build_field(p, r), cap=SWEEP_Q)
+        field = build_field(p, r)
+        digest.update(json.dumps(field.descriptor()).encode() + b"\n")
+        report = classify_field(field, cap=SWEEP_Q)
         count = oracles.closed_form_count(p, r)
         if len(report.entries) != count or report.unmatched_count:
             print(f"q = {q}: classify_field finds {len(report.entries)} "
@@ -135,8 +145,13 @@ def main(argv=None) -> int:
         print(f"the fields q <= {SWEEP_Q} have {total} partitions, not "
               f"{SWEEP_PARTITIONS}")
         failures += 1
+    if digest.hexdigest() != FIELD_DIGEST:
+        print(f"the descriptors of the fields q <= {SWEEP_Q} hash to "
+              f"{digest.hexdigest()}, not {FIELD_DIGEST}")
+        failures += 1
     print(f"field counts: {len(qs)} prime powers q <= {SWEEP_Q}, {total} "
-          f"partitions ({time.perf_counter() - start:.1f} s)")
+          f"partitions, descriptors hashed "
+          f"({time.perf_counter() - start:.1f} s)")
     print(f"{failures} failures")
     return 1 if failures else 0
 

@@ -15,9 +15,8 @@ from rank3affine.errors import (CapExceeded, CharCondition, DegenerateModulus,
                                 DegreeCondition, InvariantViolation, NotPrime,
                                 OrderCondition)
 from rank3affine.families import (GeneralizedPaley, Paley, Peisert, Unmatched,
-                                  paley_index_set, peisert_connection_set,
-                                  peisert_index_set, vls_connection_set,
-                                  vls_index_set)
+                                  peisert_connection_set, peisert_index_set,
+                                  vls_connection_set, vls_index_set)
 from rank3affine.fields import build_field
 from rank3affine.znaction import Case1, Case2, two_orbit_partitions_with_generators
 
@@ -175,7 +174,7 @@ def test_matched_class_equals_family_set_up_to_shift_and_complement():
         for e in report.entries:
             assert not isinstance(e.family, Unmatched)
             if isinstance(e.family, Paley):
-                base = paley_index_set(q)
+                base = vls_index_set(q, 2)
             elif isinstance(e.family, GeneralizedPaley):
                 base = vls_index_set(q, e.family.ell)
             else:

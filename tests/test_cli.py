@@ -116,6 +116,12 @@ def test_construct_directed_escape_hatch(capsys):
     doc = json.loads(out)
     assert doc["srg"] is None
     assert len(doc["arcs"]) == 21
+    # the undirected formats refuse the directed graph with exit 2
+    for fmt in ("graph6", "edges"):
+        code, out, err = run(capsys, "construct", "--family", "vls", "--p",
+                             "7", "--r", "1", "--ell", "2", "--allow-directed",
+                             "--format", fmt)
+        assert code == 2 and out == "" and err.startswith("error: Directed")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from rank3affine.errors import (CharCondition, DegreeCondition, EmptySet,
                                 IndexOutOfRange, NotPrime, NotSymmetric,
                                 OrderCondition)
 from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley,
-                                  paley_connection_set, paley_index_set,
-                                  peisert_connection_set, vls_connection_set)
+                                  paley_connection_set, peisert_connection_set,
+                                  vls_connection_set, vls_index_set)
 from rank3affine.fields import build_field
 from rank3affine.classify import prime_powers_up_to, as_prime_power
 from rank3affine.znaction import OrbitPartition
@@ -36,7 +36,7 @@ def test_vls_gf9_ell2_is_squares():
     f = build_field(3, 2)
     c = vls_connection_set(f, 2)
     assert len(c) == 4
-    assert c.indices == paley_index_set(9)
+    assert c.indices == vls_index_set(9, 2) == paley_connection_set(f).indices
     assert c.label == GeneralizedPaley(ell=2, k=2)
 
 

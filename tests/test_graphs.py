@@ -1,5 +1,9 @@
 import functools
+import importlib.util
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from rank3affine.classify import as_prime_power, prime_powers_up_to
 from rank3affine.errors import (CapExceeded, Directed, InfeasibleParameters,
-                                NotSymmetric, Rank3Error, TooLarge)
+                                Rank3Error, TooLarge)
 from rank3affine.families import (ConnectionSet, paley_connection_set,
                                   peisert_connection_set, vls_connection_set)
 from rank3affine.fields import build_field
@@ -73,12 +77,11 @@ def test_gf4_singleton_is_perfect_matching():
     assert [g.neighbors(x) for x in range(4)] == [[1], [0], [3], [2]]
 
 
-def test_directed_rejected_without_escape_hatch():
+def test_asymmetric_set_gives_a_directed_graph_that_checks_refuse():
+    # the connection set decides the direction; build_cayley has no flag
     f = build_field(7, 1)
     conn = vls_connection_set(f, 2, allow_directed=True)
-    with pytest.raises(NotSymmetric):
-        build_cayley(f, conn)
-    g = build_cayley(f, conn, allow_directed=True)
+    g = build_cayley(f, conn)
     assert g.directed
     assert all(len(g.neighbors(x)) == 3 for x in range(7))
     with pytest.raises(Directed):
@@ -87,6 +90,8 @@ def test_directed_rejected_without_escape_hatch():
         export_graph6(g)
     with pytest.raises(Directed):
         export_edge_list(g)
+    with pytest.raises(TypeError):
+        build_cayley(f, conn, allow_directed=True)
 
 
 def test_degree_equals_connection_size():
@@ -321,6 +326,25 @@ def test_family_graphs_match_bitrow_oracle(q):
         assert export_graph6(g) == oracles.loop_graph6(rows)
 
 
+def test_benchmark_recorder_builds_its_recorded_pool(monkeypatch):
+    # perfbench/record.py, which no CI step runs, records the benchmark's
+    # construct pool through build_cayley(field, conn), the three family
+    # constructors, srg_params and fields.is_prime; it is imported from its
+    # file with no bytecode written, and run over the pool's q <= 16 part
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("record",
+                                                  bench / "record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    monkeypatch.setattr(record, "CONSTRUCT_RANGES", ((9, 16),))
+    pool = json.loads((bench / "expected.json").read_text())["construct_pool"]
+    small = [e for e in pool if e["p"] ** e["r"] <= 16]
+    assert len(small) == 6
+    assert record.construct_pool() == small
+
+
 def symmetric_indices(f, chosen):
     """The dlog indices chosen, closed under negation: -1 = omega^((q-1)/2)
     in odd characteristic, and x = -x in characteristic 2."""
@@ -344,3 +368,21 @@ def test_random_symmetric_sets_match_bitrow_oracle(data):
     assert export_edge_list(g) == "".join(
         f"{x} {y}\n" for x in range(q) for y in range(x + 1, q)
         if (rows[x] >> y) & 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_any_set_gives_the_bitrow_graph_directed_iff_asymmetric(data):
+    # any nonempty S, asymmetric ones included: the graph is directed
+    # exactly when S != -S as element codes, and its rows are S + x
+    q = data.draw(st.sampled_from(prime_powers_up_to(49)), label="q")
+    f = field_of_order(q)
+    chosen = data.draw(st.sets(st.sampled_from(range(q - 1)), min_size=1),
+                       label="S")
+    conn = ConnectionSet(f, chosen)
+    g = build_cayley(f, conn)
+    exp = oracles.loop_field_tables(f.p, f.r)[0]
+    codes = {exp[i] for i in chosen}
+    assert g.directed == (codes != {oracles.digit_neg(f, c) for c in codes})
+    assert ([sum(1 << y for y in g.neighbors(x)) for x in range(q)]
+            == oracles.bitrows(f, conn))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -188,12 +189,21 @@ def test_tables_match_per_shift_scan():
 def test_certificate_script_exits_0_and_1(monkeypatch, capsys):
     # tests/certify.py runs these checks past tier-1's ranges; it exits 0
     # when they hold and 1, naming each failure, when a table, a field or a
-    # field's count disagrees with its oracle
+    # field's count or the fields' descriptors disagree with its oracle
     import certify
     monkeypatch.setattr(certify, "PRIMES", 0)
     monkeypatch.setattr(certify, "CONTEXTS", 0)
     monkeypatch.setattr(certify, "SWEEP_Q", 9)
     monkeypatch.setattr(certify, "SWEEP_PARTITIONS", 9)
+    digest = hashlib.sha256()
+    for q in prime_powers_up_to(9):
+        p, r = oracles.trial_division_prime_power(q)
+        modulus = oracles.trial_division_modulus(p, r)
+        omega = oracles.power_search_omega(p, r, modulus)
+        digest.update(json.dumps({"p": p, "r": r, "q": q,
+                                  "modulus": list(modulus),
+                                  "omega": list(omega)}).encode() + b"\n")
+    monkeypatch.setattr(certify, "FIELD_DIGEST", digest.hexdigest())
     assert certify.main(["--k-max", "12", "--q-max", "9"]) == 0
     assert "field counts: 7 prime powers q <= 9, 9 partitions" in (
         capsys.readouterr().out)
@@ -218,9 +228,11 @@ def test_certificate_script_exits_0_and_1(monkeypatch, capsys):
     assert ("q = 3: classify_field finds 1 partitions, 0 unmatched; the "
             "closed form counts 0") in out
     assert "the fields q <= 3 have 1 partitions, not 9" in out
+    assert "the descriptors of the fields q <= 3 hash to" in out
     # the three (k, b) with k <= 3, two b for each of two primes, one
-    # context, q = 3 on the field and by its count, and the total
-    assert out.endswith("11 failures\n")
+    # context, q = 3 on the field and by its count, the total and the
+    # descriptors
+    assert out.endswith("12 failures\n")
 
 
 def test_certificate_samples_reach_the_lemma_cap():
