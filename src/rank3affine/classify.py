@@ -33,11 +33,10 @@ from math import isqrt
 
 from .arith import mult_order, prime_factors
 from .errors import (DEFAULT_FIELD_CAP, DEFAULT_N_CAP, CapExceeded,
-                     CharCondition, DegenerateModulus, DegreeCondition,
-                     InvariantViolation, NotPrime, NotPrimePower,
-                     OrderCondition)
-from .families import (FamilyLabel, GeneralizedPaley, Paley, Peisert, Unmatched,
-                       label_to_json, peisert_label, vls_label)
+                     CharCondition, DegreeCondition, InvariantViolation,
+                     NotPrime, NotPrimePower, OrderCondition)
+from .families import (FamilyLabel, Paley, Unmatched, label_to_json,
+                       peisert_label, vls_label)
 from .fields import FiniteField, build_field
 from .znaction import (AffineActionContext, Case1, Case2,
                        LemmaCase, OrbitPartition, case_to_json,
@@ -52,11 +51,9 @@ def gammal1_context(field: FiniteField) -> AffineActionContext:
     p^j = 1 mod (q-1) forces p^j - 1 >= q - 1, so the order is exactly r:
     p^r = 1 and no p^(r/l) = 1 for a prime l | r.  That check factors only
     r; mult_order, which would factor q - 1 and phi(q - 1) and keep both in
-    the cache of prime_factors, runs only to word a failure.
+    the cache of prime_factors, runs only to word a failure.  GF(2) has
+    n = 1, which AffineActionContext refuses.
     """
-    if field.q == 2:
-        raise DegenerateModulus(
-            "q = 2: F_q^* is a single point, no two-orbit partitions exist")
     ctx = AffineActionContext(field.q - 1, field.p)
     a, n, r = ctx.a, ctx.n, field.r
     if pow(a, r, n) != 1 or any(pow(a, r // l, n) == 1
@@ -114,13 +111,8 @@ class ClassificationReport(Value):
 
 
 def family_key(label: FamilyLabel) -> str:
-    if isinstance(label, Paley):
-        return "paley"
-    if isinstance(label, GeneralizedPaley):
-        return f"generalized-paley({label.ell},{label.k})"
-    if isinstance(label, Peisert):
-        return f"peisert({label.variant})"
-    return "unmatched"
+    values = label._values()
+    return label.name + (f"({','.join(map(str, values))})" if values else "")
 
 
 def _match_family(field: FiniteField, case: LemmaCase) -> tuple[FamilyLabel, int]:

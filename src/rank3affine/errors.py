@@ -88,10 +88,6 @@ class TooLarge(Rank3Error):
     pass
 
 
-class DegenerateModulus(Rank3Error):
-    """q = 2 leaves nothing to act on: Z_1 has no two-orbit partitions."""
-
-
 class InfeasibleParameters(Rank3Error):
     """(v, k, lambda, mu) fails k(k - lambda - 1) = (v - k - 1) mu."""
 

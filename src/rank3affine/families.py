@@ -34,31 +34,29 @@ from .values import Value
 
 class Paley(Value):
     __slots__ = ()
+    name = "paley"
 
 
 class GeneralizedPaley(Value):
     __slots__ = _fields = ("ell", "k")
+    name = "generalized-paley"
 
 
 class Peisert(Value):
     __slots__ = _fields = ("variant",)
+    name = "peisert"
 
 
 class Unmatched(Value):
     __slots__ = ()
+    name = "unmatched"
 
 
 FamilyLabel = Paley | GeneralizedPaley | Peisert | Unmatched
 
 
 def label_to_json(label: FamilyLabel) -> dict:
-    if isinstance(label, Paley):
-        return {"family": "paley"}
-    if isinstance(label, GeneralizedPaley):
-        return {"family": "generalized-paley", "ell": label.ell, "k": label.k}
-    if isinstance(label, Peisert):
-        return {"family": "peisert", "variant": label.variant}
-    return {"family": "unmatched"}
+    return {"family": label.name, **label._asdict()}
 
 
 # ---------------------------------------------------------------------------

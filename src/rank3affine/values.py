@@ -3,7 +3,8 @@
 A subclass names its fields in ``_fields`` and ``__slots__`` and is built
 from them positionally or by name.  Values are equal only if they have the
 same type and fields, hash as their fields' tuple, print as
-``Name(field=value, ...)`` and refuse assignment."""
+``Name(field=value, ...)``, read as a dict by ``_asdict`` and refuse
+assignment."""
 
 
 class Value:
@@ -22,6 +23,9 @@ class Value:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
 
     def __eq__(self, other):
         return (self._values() == other._values() if type(other) is type(self)

@@ -269,16 +269,19 @@ class Case1(Value):
     """O1 = shift + m Z_n with m prime; alpha transitive mod m."""
 
     __slots__ = _fields = ("m", "shift")
+    tag = 1
 
 
 class Case2(Value):
     """m = 4, equal halves pairing residues {0, variant} vs {2, -variant}."""
 
     __slots__ = _fields = ("variant",)
+    tag = 2
 
 
 class Violation(Value):
     __slots__ = _fields = ("reason",)
+    tag = "violation"
 
 
 LemmaCase = Case1 | Case2 | Violation
@@ -310,11 +313,7 @@ def classify_partition(ctx: AffineActionContext, part: OrbitPartition) -> LemmaC
 
 
 def case_to_json(case: LemmaCase) -> dict:
-    if isinstance(case, Case1):
-        return {"case": 1, "m": case.m, "shift": case.shift}
-    if isinstance(case, Case2):
-        return {"case": 2, "variant": case.variant}
-    return {"case": "violation", "reason": case.reason}
+    return {"case": case.tag, **case._asdict()}
 
 
 # ---------------------------------------------------------------------------

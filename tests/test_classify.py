@@ -11,8 +11,8 @@ from rank3affine.classify import (as_prime_power, classify_field, family_key,
                                   verify_theorem)
 from rank3affine import families
 from rank3affine.arith import mult_order
-from rank3affine.errors import (CapExceeded, CharCondition, DegenerateModulus,
-                                DegreeCondition, InvariantViolation, NotPrime,
+from rank3affine.errors import (CapExceeded, CharCondition, DegreeCondition,
+                                InvariantViolation, ModulusOutOfRange, NotPrime,
                                 OrderCondition)
 from rank3affine.families import (GeneralizedPaley, Paley, Peisert, Unmatched,
                                   peisert_connection_set, peisert_index_set,
@@ -34,7 +34,9 @@ def test_gammal1_contexts():
 
 
 def test_gammal1_degenerate():
-    with pytest.raises(DegenerateModulus):
+    # F_2^* is one point: the context's own n >= 2 check refuses it
+    with pytest.raises(ModulusOutOfRange,
+                       match=r"^modulus n = 1 must be >= 2$"):
         gammal1_context(build_field(2, 1))
 
 

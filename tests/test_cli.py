@@ -124,6 +124,42 @@ def test_construct_directed_escape_hatch(capsys):
         assert code == 2 and out == "" and err.startswith("error: Directed")
 
 
+def test_construct_caps(capsys, tmp_path):
+    # every undirected graph runs the SRG check whatever the format, so a
+    # graph6 file for q > 1024 needs --srg-cap; a refusal writes no file
+    report = tmp_path / "f"
+    paley = ("construct", "--family", "paley", "--p", "1033", "--r", "1")
+    assert run(capsys, *paley, "--format", "graph6",
+               "--output", str(report)) == (
+        2, "", "error: CapExceeded: q = 1033 exceeds the SRG check cap 1024\n")
+    assert not report.exists()
+    code, out, _ = run(capsys, *paley, "--srg-cap", "1033", "--format", "text")
+    assert code == 0
+    assert out.endswith(
+        "\nparameters: srg(v=1033, k=516, lambda=257, mu=258)\n")
+    assert run(capsys, "construct", "--family", "paley", "--p", "11", "--r",
+               "2", "--field-cap", "120") == (
+        2, "", "error: CapExceeded: q = 11^2 exceeds the field cap 120\n")
+
+
+def test_construct_reports_a_graph_that_is_not_strongly_regular(
+        capsys, monkeypatch):
+    # no family graph fails the check, so srg_params is stubbed
+    import rank3affine.graphs as graphs
+
+    failed = graphs.NotStronglyRegular((0, 5), "stub reason")
+    monkeypatch.setattr(graphs, "srg_params", lambda *_args, **_kw: failed)
+    paley = ("construct", "--family", "paley", "--p", "13", "--r", "1")
+    code, out, _ = run(capsys, *paley)
+    assert code == 0
+    assert json.loads(out)["srg"] == {"not_strongly_regular": "stub reason",
+                                      "witness": [0, 5]}
+    code, out, _ = run(capsys, *paley, "--format", "text")
+    assert code == 0
+    assert out.endswith(
+        "\nparameters: not strongly regular: stub reason at (0, 5)\n")
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------

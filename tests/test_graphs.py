@@ -327,10 +327,11 @@ def test_family_graphs_match_bitrow_oracle(q):
 
 
 def test_benchmark_recorder_builds_its_recorded_pool(monkeypatch):
-    # perfbench/record.py, which no CI step runs, records the benchmark's
-    # construct pool through build_cayley(field, conn), the three family
-    # constructors, srg_params and fields.is_prime; it is imported from its
-    # file with no bytecode written, and run over the pool's q <= 16 part
+    # perfbench/record.py, which no CI step runs, writes the expected.json
+    # that every benchmark run checks against; it is imported from its file
+    # with no bytecode written, and every recorded value is computed as its
+    # main() computes it, without main() rewriting the file: the whole
+    # construct pool, the lemma counts and the theorem counts q <= 4096
     bench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -338,11 +339,20 @@ def test_benchmark_recorder_builds_its_recorded_pool(monkeypatch):
                                                   bench / "record.py")
     record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(record)
-    monkeypatch.setattr(record, "CONSTRUCT_RANGES", ((9, 16),))
-    pool = json.loads((bench / "expected.json").read_text())["construct_pool"]
-    small = [e for e in pool if e["p"] ** e["r"] <= 16]
-    assert len(small) == 6
-    assert record.construct_pool() == small
+    expected = json.loads((bench / "expected.json").read_text())
+    assert len(expected["construct_pool"]) == 61
+    assert record.construct_pool() == expected["construct_pool"]
+    assert expected["lemma_partitions"] == {
+        str(n): record.verify_lemma(n)["partitions_checked"]
+        for n in record.LEMMA_SIZES}
+    counts = {}
+    for q in record.prime_powers_up_to(4096):
+        report = record.classify_field(
+            record.build_field(*record.as_prime_power(q)))
+        assert report.unmatched_count == 0
+        counts[str(q)] = len(report.entries)
+    assert len(counts) == 604
+    assert counts == expected["theorem_partitions"]
 
 
 def symmetric_indices(f, chosen):

@@ -1,6 +1,7 @@
 """Invariants hold under python -O, and bad arguments raise typed errors."""
 
 import ast
+import json
 import pathlib
 import sys
 
@@ -15,14 +16,15 @@ from rank3affine.errors import (BadVariant, FieldMismatch, IndexOutOfRange,
                                 ModulusOutOfRange, NotAUnit, NotPrimePower,
                                 Rank3Error)
 from rank3affine.classify import (ClassificationReport, ClassifiedPartition,
-                                  classify_field, verify_theorem)
+                                  classify_field, family_key, verify_theorem)
 from rank3affine.families import (ConnectionSet, GeneralizedPaley, Paley,
-                                  Peisert, Unmatched, paley_connection_set,
-                                  peisert_connection_set)
+                                  Peisert, Unmatched, label_to_json,
+                                  paley_connection_set, peisert_connection_set)
 from rank3affine.fields import FiniteField, build_field
 from rank3affine.graphs import NotStronglyRegular, SrgParams, build_cayley
-from rank3affine.znaction import (AffineActionContext, Case1, Case2,
-                                  OrbitPartition, Violation)
+from rank3affine.znaction import (_CASE1, _CASE2, AffineActionContext, Case1,
+                                  Case2, OrbitPartition, Violation,
+                                  case_to_json)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rank3affine"
 
@@ -112,6 +114,24 @@ def test_values_compare_by_type_and_fields():
     assert repr(Paley()) == "Paley()"
     # a set of residues is accepted unhashed, as tests build partitions
     assert repr(OrbitPartition(4, {0, 1})) == "OrbitPartition(m=4, r1={0, 1})"
+
+
+def test_labels_and_cases_encode_from_their_name_or_tag_and_fields():
+    # the bytes the reports write, key order included
+    labels = [Paley(), GeneralizedPaley(3, 2), Peisert(3), Unmatched()]
+    assert [json.dumps(label_to_json(label)) for label in labels] == [
+        '{"family": "paley"}',
+        '{"family": "generalized-paley", "ell": 3, "k": 2}',
+        '{"family": "peisert", "variant": 3}', '{"family": "unmatched"}']
+    assert [family_key(label) for label in labels] == [
+        "paley", "generalized-paley(3,2)", "peisert(3)", "unmatched"]
+    cases = [Case1(5, 2), Case2(3), Violation("reason")]
+    assert [json.dumps(case_to_json(case)) for case in cases] == [
+        '{"case": 1, "m": 5, "shift": 2}', '{"case": 2, "variant": 3}',
+        '{"case": "violation", "reason": "reason"}']
+    # the lemma encoder writes cases 1 and 2 from text templates
+    assert _CASE1 % (5, 2) + "}" == json.dumps(case_to_json(cases[0]))
+    assert _CASE2 % 3 + "}" == json.dumps(case_to_json(cases[1]))
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
